@@ -61,9 +61,9 @@ void print_markdown_table() {
   formats::PlanOptions opt;
   opt.chunk = 4;
   std::printf(
-      "| format | description | sorts rows | native axpby | host kernel "
-      "| sim kernel | fill %% (8x8 toy) |\n");
-  std::printf("|---|---|---|---|---|---|---|\n");
+      "| format | description | sorts rows | native axpby | native block "
+      "| host kernel | sim kernel | fill %% (8x8 toy) |\n");
+  std::printf("|---|---|---|---|---|---|---|---|\n");
   for (const formats::FormatInfo& info :
        formats::registry<double>().list()) {
     std::string fill = "-";  // `auto` delegates to whichever format wins
@@ -71,9 +71,10 @@ void print_markdown_table() {
       const auto plan = formats::registry<double>().build(info.name, a, opt);
       fill = fmt(fill_pct(plan->footprint()), 1);
     }
-    std::printf("| `%s` | %s | %s | %s | yes | %s | %s |\n", info.name,
+    std::printf("| `%s` | %s | %s | %s | %s | yes | %s | %s |\n", info.name,
                 info.description, info.sorts_rows ? "yes" : "no",
                 info.native_axpby ? "yes" : "no",
+                info.native_spmmv ? "yes" : "no",
                 info.has_sim_kernel ? "yes" : "no", fill.c_str());
   }
 }

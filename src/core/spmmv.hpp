@@ -5,12 +5,21 @@
 // the standard remedy when a single spMVM is bandwidth-bound. Vectors
 // are stored row-major (x[i*k + v]), so one matrix entry multiplies k
 // consecutive values.
+//
+// Every kernel accumulates each (row, vector) pair over the row's stored
+// entries in ascending order, starting from zero, for any thread count,
+// so column v of a block equals the same kernel run at k = 1 on vector
+// v bit for bit. The SELL-C-σ kernel also walks the slice padding, as
+// its single-vector kernel does, so its columns equal spmv bit for bit.
+// Widths up to 8 run as compile-time instantiations; a wider block runs
+// in groups of at most 8 vectors and reads the matrix once per group.
 #pragma once
 
 #include <span>
 
-#include "sparse/pjds.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/pjds.hpp"
+#include "sparse/sliced_ell.hpp"
 
 namespace spmvm {
 
@@ -25,6 +34,13 @@ template <class T>
 void spmmv(const Pjds<T>& a, std::span<const T> x, std::span<T> y, int k,
            int n_threads = 1);
 
+/// Sliced-ELLPACK / SELL-C-σ variant (permuted basis, like the
+/// single-vector kernel): one pass over the chunk-column-major image for
+/// all k vectors. k = 1 is the single-vector spmv.
+template <class T>
+void spmmv(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
+           int k, int n_threads = 1);
+
 /// Theoretical balance improvement of k-vector spMMV over spMVM (Eq. 1
 /// with matrix terms divided by k): bytes/flop.
 double spmmv_code_balance(std::size_t scalar_size, double alpha, double nnzr,
@@ -34,6 +50,8 @@ double spmmv_code_balance(std::size_t scalar_size, double alpha, double nnzr,
   extern template void spmmv(const Csr<T>&, std::span<const T>,         \
                              std::span<T>, int, int);                    \
   extern template void spmmv(const Pjds<T>&, std::span<const T>,        \
+                             std::span<T>, int, int);                    \
+  extern template void spmmv(const SlicedEll<T>&, std::span<const T>,   \
                              std::span<T>, int, int)
 
 SPMVM_EXTERN_SPMMV(float);

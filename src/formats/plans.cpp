@@ -114,6 +114,12 @@ bool SlicedEllPlan<T>::spmv_axpby(std::span<const T> x, std::span<T> y,
 }
 
 template <class T>
+void SlicedEllPlan<T>::spmmv(std::span<const T> x, std::span<T> y, int k,
+                             int n_threads) const {
+  spmvm::spmmv(a_, x, y, k, n_threads);
+}
+
+template <class T>
 std::optional<gpusim::KernelResult> SlicedEllPlan<T>::simulate(
     const gpusim::DeviceSpec& dev, const gpusim::SimOptions& opt) const {
   return gpusim::simulate(dev, a_, opt);

@@ -112,6 +112,8 @@ class SlicedEllPlan final : public FormatPlan<T> {
             int n_threads) const override;
   bool spmv_axpby(std::span<const T> x, std::span<T> y, T alpha, T beta,
                   int n_threads) const override;
+  void spmmv(std::span<const T> x, std::span<T> y, int k,
+             int n_threads) const override;
   const Permutation* permutation() const override {
     return a_.sort_window > 1 ? &a_.perm : nullptr;
   }

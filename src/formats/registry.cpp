@@ -111,10 +111,10 @@ void register_builtins(FormatRegistry<T>& reg) {
                        true, false, false},
                       &build_jds<T>);
   reg.register_format({"sliced_ell", "sliced ELLPACK (C=chunk, sigma=1)",
-                       false, true, true},
+                       false, true, true, /*native_spmmv=*/true},
                       &build_sliced_ell<T>);
   reg.register_format({"sell_c_sigma", "sliced ELLPACK + windowed sort",
-                       true, true, true},
+                       true, true, true, /*native_spmmv=*/true},
                       &build_sell_c_sigma<T>);
   reg.register_format({"bellpack", "blocked ELLPACK, dense tiles",
                        false, false, false},

@@ -42,7 +42,8 @@ struct Response {
   int batch_width = 0;    ///< k of the block launch that served this
   double queue_seconds = 0.0;    ///< enqueue → dequeue
   double batch_seconds = 0.0;    ///< dequeue → kernel launch
-  double execute_seconds = 0.0;  ///< block-launch wall time
+  double execute_seconds = 0.0;  ///< block-launch wall time, under the
+                                 ///< matrix's launch lock
   double total_seconds = 0.0;    ///< enqueue → response
   std::string error;             ///< failure detail (failed only)
 

@@ -7,6 +7,7 @@
 #include "obs/ledger.hpp"
 #include "obs/trace.hpp"
 #include "sparse/footprint.hpp"
+#include "sparse/kernel_record.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -120,26 +121,17 @@ void spmv(const Bellpack<T>& a, std::span<const T> x, std::span<T> y,
   SPMVM_REQUIRE(y.size() >= static_cast<std::size_t>(a.n_rows),
                 "output vector too short");
   SPMVM_TRACE_SPAN_NAMED(span, "kernel/bellpack");
+  // Streamed bytes per call: stored footprint + one RHS read and one
+  // LHS write (the Eq. 1 accounting of sparse/spmv_host.cpp).
+  const std::uint64_t nnz = static_cast<std::uint64_t>(a.stored_entries());
+  const std::uint64_t bytes =
+      static_cast<std::uint64_t>(footprint(a).total_bytes(sizeof(T))) +
+      (static_cast<std::uint64_t>(a.n_rows) +
+       static_cast<std::uint64_t>(a.n_cols)) *
+          sizeof(T);
+  detail::record_kernel(span, nnz, bytes);
   obs::LedgerScope led(obs::RoofLane::host, "bellpack", "spmv");
-  if (span.active() || led.active()) {
-    // Streamed bytes per call: stored footprint + one RHS read and one
-    // LHS write (the Eq. 1 accounting of sparse/spmv_host.cpp).
-    const std::uint64_t nnz = static_cast<std::uint64_t>(a.stored_entries());
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(footprint(a).total_bytes(sizeof(T))) +
-        (static_cast<std::uint64_t>(a.n_rows) +
-         static_cast<std::uint64_t>(a.n_cols)) *
-            sizeof(T);
-    span.set_bytes(bytes);
-    obs::WorkDesc w;
-    w.bytes = bytes;
-    w.flops = 2 * nnz;
-    w.nnz = nnz;
-    w.alpha = nnz > 0
-                  ? static_cast<double>(a.n_rows) / static_cast<double>(nnz)
-                  : 0.0;
-    led.set_work(w);
-  }
+  if (led.active()) led.set_work(detail::kernel_work(nnz, bytes, a.n_rows));
   const std::size_t tile_scalars =
       static_cast<std::size_t>(a.block_r) * static_cast<std::size_t>(a.block_c);
   parallel_for(

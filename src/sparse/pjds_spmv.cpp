@@ -7,12 +7,15 @@
 
 #include "sparse/footprint.hpp"
 #include "obs/ledger.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sparse/kernel_record.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace spmvm {
+
+using detail::kernel_work;
+using detail::record_kernel;
 
 namespace {
 template <class T>
@@ -35,32 +38,6 @@ std::uint64_t kernel_bytes(const Pjds<T>& a) {
          (static_cast<std::uint64_t>(a.n_rows) +
           static_cast<std::uint64_t>(a.n_cols)) *
              sizeof(T);
-}
-
-// noinline: keeps the static-local guards out of the kernels' entry
-// blocks so the hot loops stay within the inliner's budget.
-[[gnu::noinline]] void record_kernel(obs::SpanGuard& span, std::uint64_t nnz,
-                                     std::uint64_t bytes) {
-  static obs::Counter& c_calls = obs::counter("kernel.calls");
-  static obs::Counter& c_nnz = obs::counter("kernel.nnz");
-  static obs::Counter& c_bytes = obs::counter("kernel.bytes");
-  c_calls.add();
-  c_nnz.add(nnz);
-  c_bytes.add(bytes);
-  span.set_bytes(bytes);
-}
-
-/// Roofline work descriptor — see sparse/spmv_host.cpp kernel_work.
-[[gnu::noinline]] obs::WorkDesc kernel_work(std::uint64_t nnz,
-                                            std::uint64_t bytes,
-                                            index_t n_rows) {
-  obs::WorkDesc w;
-  w.bytes = bytes;
-  w.flops = 2 * nnz;
-  w.nnz = nnz;
-  w.alpha = nnz > 0 ? static_cast<double>(n_rows) / static_cast<double>(nnz)
-                    : 0.0;
-  return w;
 }
 
 /// Rows [rb, re) of y via jagged-diagonal-major traversal: for each row

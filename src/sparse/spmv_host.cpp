@@ -7,10 +7,51 @@
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sparse/kernel_record.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace spmvm {
+
+namespace detail {
+
+void record_kernel(obs::SpanGuard& span, std::uint64_t nnz,
+                   std::uint64_t bytes) {
+  static obs::Counter& c_calls = obs::counter("kernel.calls");
+  static obs::Counter& c_nnz = obs::counter("kernel.nnz");
+  static obs::Counter& c_bytes = obs::counter("kernel.bytes");
+  static const bool help = [] {
+    obs::set_metric_help("kernel.calls", "Host spMVM kernel invocations");
+    obs::set_metric_help("kernel.nnz",
+                         "Non-zeros processed by host spMVM kernels (k "
+                         "per entry in a k-wide block launch)");
+    obs::set_metric_help("kernel.bytes",
+                         "Bytes streamed by host spMVM kernels (stored "
+                         "footprint plus RHS/LHS vectors, Eq. 1 accounting)");
+    return true;
+  }();
+  (void)help;
+  c_calls.add();
+  c_nnz.add(nnz);
+  c_bytes.add(bytes);
+  span.set_bytes(bytes);
+}
+
+obs::WorkDesc kernel_work(std::uint64_t nnz, std::uint64_t bytes,
+                          index_t n_rows, int k) {
+  obs::WorkDesc w;
+  w.bytes = bytes;
+  w.flops = 2 * nnz * static_cast<std::uint64_t>(k);
+  w.nnz = nnz;
+  w.alpha = nnz > 0 ? static_cast<double>(n_rows) / static_cast<double>(nnz)
+                    : 0.0;
+  return w;
+}
+
+}  // namespace detail
+
+using detail::kernel_work;
+using detail::record_kernel;
 
 namespace {
 /// Effective bytes one kernel call streams — the stored matrix (values +
@@ -56,48 +97,6 @@ std::uint64_t kernel_bytes(const SlicedEll<T>& a) {
          static_cast<std::uint64_t>(a.slice_ptr.size()) * sizeof(offset_t) +
          static_cast<std::uint64_t>(a.row_len.size()) * sizeof(index_t) +
          vector_stream_bytes<T>(a.n_rows, a.n_cols);
-}
-
-/// Per-call bookkeeping shared by every host kernel: bytes onto the
-/// span, always-on counters for calls / nnz processed / bytes moved.
-/// noinline: the static-local guards would bloat every kernel's entry
-/// block and push the hot loops past the inliner's budget.
-[[gnu::noinline]] void record_kernel(obs::SpanGuard& span, std::uint64_t nnz,
-                                     std::uint64_t bytes) {
-  static obs::Counter& c_calls = obs::counter("kernel.calls");
-  static obs::Counter& c_nnz = obs::counter("kernel.nnz");
-  static obs::Counter& c_bytes = obs::counter("kernel.bytes");
-  static const bool help = [] {
-    obs::set_metric_help("kernel.calls", "Host spMVM kernel invocations");
-    obs::set_metric_help("kernel.nnz",
-                         "Non-zeros processed by host spMVM kernels");
-    obs::set_metric_help("kernel.bytes",
-                         "Bytes streamed by host spMVM kernels (stored "
-                         "footprint plus RHS/LHS vectors, Eq. 1 accounting)");
-    return true;
-  }();
-  (void)help;
-  c_calls.add();
-  c_nnz.add(nnz);
-  c_bytes.add(bytes);
-  span.set_bytes(bytes);
-}
-
-/// Roofline work descriptor of one kernel call: the streamed bytes are
-/// kernel_bytes() (stored footprint + one RHS read + one LHS write, the
-/// Eq. 1 accounting), flops 2·nnz, α at its ideal value 1/N_nzr — the
-/// RHS stream is counted exactly once in kernel_bytes, so the host roof
-/// derived from these bytes is the perfect-cache bound.
-[[gnu::noinline]] obs::WorkDesc kernel_work(std::uint64_t nnz,
-                                            std::uint64_t bytes,
-                                            index_t n_rows) {
-  obs::WorkDesc w;
-  w.bytes = bytes;
-  w.flops = 2 * nnz;
-  w.nnz = nnz;
-  w.alpha = nnz > 0 ? static_cast<double>(n_rows) / static_cast<double>(nnz)
-                    : 0.0;
-  return w;
 }
 
 template <class T>

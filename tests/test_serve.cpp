@@ -185,6 +185,38 @@ TEST(Serve, BatchedBitIdenticalToIndividualOnEveryBackend) {
   }
 }
 
+TEST(Serve, ExecuteTimeExcludesLaunchLockWait) {
+  // Two workers, one matrix, no batching: each request launches on its
+  // own, and the second waits for the first to release the matrix's
+  // launch mutex. That wait is batching time. Execute time is taken
+  // under the mutex, so the two execute intervals are disjoint and
+  // together fit in the wall time around them; counting the wait would
+  // add most of one launch on top.
+  // Long rows: the launch dominates the per-row staging and scatter.
+  const index_t n = 10000;
+  const auto a = random_csr<double>(n, n, 100, 120, 41);
+  ServerOptions opt;
+  opt.backend = "host";
+  opt.n_workers = 2;
+  opt.max_batch = 1;
+  Server server(opt);
+  server.register_matrix("m", a);
+  Ticket t1 = server.submit("m", random_vector<double>(n, 42));
+  Ticket t2 = server.submit("m", random_vector<double>(n, 43));
+  const auto t0 = std::chrono::steady_clock::now();
+  server.start();
+  const Response r1 = t1.get();
+  const Response r2 = t2.get();
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  ASSERT_TRUE(r1.ok()) << to_string(r1.status);
+  ASSERT_TRUE(r2.ok()) << to_string(r2.status);
+  EXPECT_EQ(r1.batch_width, 1);
+  EXPECT_EQ(r2.batch_width, 1);
+  EXPECT_LE(r1.execute_seconds + r2.execute_seconds, wall);
+}
+
 TEST(Serve, ModelBatchWidthIsExposedPerMatrix) {
   ServerOptions opt;
   opt.backend = "host";

@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <tuple>
 
 #include "exec/engine.hpp"
 #include "formats/registry.hpp"
+#include "obs/metrics.hpp"
 #include "perfmodel/balance.hpp"
+#include "sparse/coo.hpp"
+#include "sparse/spmv_host.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace spmvm {
 namespace {
@@ -69,6 +75,90 @@ TEST_P(SpmmvSweep, PjdsBlockMatchesCsrBlock) {
 INSTANTIATE_TEST_SUITE_P(Blocks, SpmmvSweep,
                          ::testing::Combine(::testing::Values(1, 2, 4, 8),
                                             ::testing::Values(1, 4)));
+
+/// 45 rows (not a multiple of the slice height 8), rows 3–6 and 20
+/// empty, row 11 dense: the slice holding row 11 is as wide as the
+/// matrix, its neighbours are mostly padding, and the last slice has
+/// padded rows.
+Csr<double> ragged_csr() {
+  const index_t n = 45;
+  Rng rng(21);
+  Coo<double> coo(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    if ((i >= 3 && i <= 6) || i == 20) continue;
+    if (i == 11) {
+      for (index_t c = 0; c < n; ++c) coo.add(i, c, rng.uniform(-1.0, 1.0));
+      continue;
+    }
+    const index_t len = 1 + i % 6;
+    for (index_t t = 0; t < len; ++t)
+      coo.add(i, (i * 7 + t * 13) % n, rng.uniform(-1.0, 1.0));
+  }
+  return Csr<double>::from_coo(std::move(coo));
+}
+
+class SpmmvSellSweep
+    : public ::testing::TestWithParam<std::tuple<bool /*sigma > 1*/,
+                                                 int /*threads*/>> {};
+
+TEST_P(SpmmvSellSweep, BlockEqualsSingleProductsBitForBit) {
+  const auto& [sorted, threads] = GetParam();
+  const auto a = ragged_csr();
+  // sliced_ell: σ = 1, original order; sell_c_sigma: σ = 16 with the
+  // columns relabeled by the row permutation.
+  const auto s = SlicedEll<double>::from_csr(
+      a, 8, sorted ? 16 : 1, sorted ? PermuteColumns::yes : PermuteColumns::no);
+  ASSERT_EQ(s.columns_permuted, sorted);
+  const auto n = static_cast<std::size_t>(a.n_rows);
+  // k = 2..8 run one fixed-width group each, k = 9 a group of 8 plus
+  // one of 1, k = 1 the single-vector kernel.
+  for (int k = 1; k <= 9; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const auto kk = static_cast<std::size_t>(k);
+    const auto xblk = random_vector<double>(a.n_cols * k, 22 + k);
+    std::vector<double> yblk(n * kk, -1.0);
+    spmmv(s, std::span<const double>(xblk), std::span<double>(yblk), k,
+          threads);
+    std::vector<double> xv(n), yv(n);
+    for (std::size_t v = 0; v < kk; ++v) {
+      for (std::size_t i = 0; i < n; ++i) xv[i] = xblk[i * kk + v];
+      spmv(s, std::span<const double>(xv), std::span<double>(yv), threads);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(yblk[i * kk + v]),
+                  std::bit_cast<std::uint64_t>(yv[i]))
+            << "vector " << v << " row " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sell, SpmmvSellSweep,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Values(1, 4)));
+
+TEST(Spmmv, BlockLaunchIsOneKernelCallForNativeFormats) {
+  // A native block kernel streams the matrix once: one kernel.calls per
+  // launch. The fallback de-interleaves into k single-vector calls.
+  const int k = 3;
+  const auto a = random_csr<double>(64, 64, 0, 9, 14);
+  const auto xblk = random_vector<double>(64 * k, 15);
+  std::vector<double> y(64 * k);
+  formats::PlanOptions opts;
+  opts.probe = false;
+  const auto& reg = formats::registry<double>();
+  obs::Counter& calls = obs::counter("kernel.calls");
+  for (const formats::FormatInfo& info : reg.list()) {
+    SCOPED_TRACE(info.name);
+    const auto plan = reg.build(info.name, a, opts);
+    // `auto` forwards block launches to the format it chose.
+    const formats::AutoChoice* choice = plan->auto_choice();
+    const bool native =
+        choice != nullptr ? reg.find(choice->chosen)->info.native_spmmv
+                          : info.native_spmmv;
+    const std::uint64_t before = calls.value();
+    plan->spmmv(std::span<const double>(xblk), std::span<double>(y), k);
+    EXPECT_EQ(calls.value() - before, native ? 1u : static_cast<unsigned>(k));
+  }
+}
 
 TEST(Spmmv, KOneMatchesSingleVectorKernel) {
   const auto a = random_csr<double>(80, 80, 0, 7, 5);
@@ -187,19 +277,22 @@ TEST_P(SpmmvBackendSweep, EmptyRowsAtSplitBoundary) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SpmmvBackendSweep,
-                         ::testing::Values(1, 2, 8));
+                         ::testing::Values(1, 2, 3, 8, 9));
 
 TEST(Spmmv, RejectsNonPositiveKForEveryFormat) {
   // The k-interleaved stride contract (x[i*k + v]) must be asserted
   // before any indexing: k <= 0 throws instead of aliasing rows.
   const auto a = random_csr<double>(12, 12, 1, 3, 8);
   const auto p = Pjds<double>::from_csr(a);
+  const auto s = SlicedEll<double>::from_csr(a, 4, 8, PermuteColumns::yes);
   std::vector<double> x(24), y(24);
   for (int k : {0, -1, -7}) {
     EXPECT_THROW(
         spmmv(a, std::span<const double>(x), std::span<double>(y), k), Error);
     EXPECT_THROW(
         spmmv(p, std::span<const double>(x), std::span<double>(y), k), Error);
+    EXPECT_THROW(
+        spmmv(s, std::span<const double>(x), std::span<double>(y), k), Error);
   }
 }
 
