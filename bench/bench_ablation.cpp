@@ -42,10 +42,8 @@ int main(int argc, char** argv) {
   for (const index_t br : {1, 4, 8, 16, 32, 64, 128}) {
     std::vector<std::string> row = {std::to_string(br)};
     for (const auto* a : {&dlr1, &samg}) {
-      PjdsOptions opt;
-      opt.block_rows = br;
-      const auto p = Pjds<double>::from_csr(*a, opt);
-      const auto r = gpusim::simulate(dev, p, {});
+      const auto p = SlicedEll<double>::pjds(*a, br);
+      const auto r = gpusim::simulate(dev, p, "pjds");
       row.push_back(fmt(100.0 * p.fill_fraction(), 2));
       row.push_back(fmt(r.gflops, 1));
       report.entries.push_back(obs::summarize_samples(
@@ -68,7 +66,7 @@ int main(int argc, char** argv) {
        {1, 32, 256, 4096, samg.n_rows}) {
     const auto s = SlicedEll<double>::from_csr(samg, 32, sigma,
                                                PermuteColumns::yes);
-    const auto r = gpusim::simulate(dev, s, {});
+    const auto r = gpusim::simulate(dev, s, "sell_c_sigma");
     t2.add_row({sigma == samg.n_rows ? "N (full sort)" : std::to_string(sigma),
                 fmt(100.0 * s.fill_fraction(), 2), fmt(r.gflops, 1),
                 fmt(100.0 * r.stats.warp_efficiency(), 1)});
@@ -108,8 +106,8 @@ int main(int argc, char** argv) {
               "tuning parameter\npJDS does without\n\n");
   {
     AsciiTable tt({"T", "DLR1 GF/s", "sAMG GF/s"});
-    const auto e_dlr1 = Ellpack<double>::from_csr(dlr1, 32);
-    const auto e_samg = Ellpack<double>::from_csr(samg, 32);
+    const auto e_dlr1 = SlicedEll<double>::ellpack(dlr1, 32);
+    const auto e_samg = SlicedEll<double>::ellpack(samg, 32);
     for (const int t : {1, 2, 4, 8, 16, 32}) {
       const double g_dlr1 = gpusim::simulate_ellr_t(dev, e_dlr1, t).gflops;
       const double g_samg = gpusim::simulate_ellr_t(dev, e_samg, t).gflops;
@@ -132,7 +130,7 @@ int main(int argc, char** argv) {
     const char* mname = item == &dlr2 ? "DLR2 (5x5 blocks)" : "sAMG (unstructured)";
     const char* slug = item == &dlr2 ? "DLR2" : "sAMG";
     const auto bell = Bellpack<double>::from_csr(*item, 5, 5, 32);
-    const auto pjds = Pjds<double>::from_csr(*item);
+    const auto pjds = SlicedEll<double>::pjds(*item);
     const double bell_bpn = static_cast<double>(bell.bytes()) /
                             static_cast<double>(item->nnz());
     const double pjds_bpn = static_cast<double>(pjds.bytes()) /

@@ -20,15 +20,9 @@
 // footprint (the plan's accounting) plus one RHS read and one LHS
 // write — the number to compare against the machine's STREAM limit,
 // since spMVM is bandwidth-bound (Eq. 1).
-//
-// The `seed/` variants re-implement the original fork-join runtime
-// (fresh std::threads spawned per call, equal row-count chunks) and the
-// pre-vectorization row-major kernels, so pooled-vs-fork-join and
-// balanced-vs-static comparisons stay regenerable from this binary
-// alone. Thread counts are swept via ->Arg(n).
+// Thread counts are swept via ->Arg(n).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -39,7 +33,6 @@
 
 #include "exec/dispatch.hpp"
 #include "exec/engine.hpp"
-#include "formats/plans.hpp"
 #include "formats/registry.hpp"
 #include "matgen/suite.hpp"
 #include "obs/report.hpp"
@@ -105,94 +98,6 @@ std::size_t product_bytes(const formats::FormatPlan<double>& plan) {
          vector_bytes(test_matrix());
 }
 
-// ---- Seed (pre-pool) runtime and kernels, kept as the comparison
-// ---- baseline for EXPERIMENTS.md. The raw format arrays come from the
-// ---- registry-built plans' typed accessors (formats/plans.hpp).
-namespace seed {
-
-/// The original fork-join parallel_for: spawn + join per call, equal
-/// row-count chunks regardless of nnz.
-template <class Fn>
-void forkjoin_parallel_for(std::size_t n, int n_threads, Fn&& fn) {
-  if (n == 0) return;
-  if (n_threads <= 1 || n < 2) {
-    fn(std::size_t{0}, n);
-    return;
-  }
-  const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(n_threads), n);
-  const std::size_t chunk = (n + workers - 1) / workers;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * chunk;
-    const std::size_t end = std::min(begin + chunk, n);
-    if (begin >= end) break;
-    pool.emplace_back([&fn, begin, end] { fn(begin, end); });
-  }
-  for (auto& t : pool) t.join();
-}
-
-void spmv_csr(const Csr<double>& a, const std::vector<double>& x,
-              std::vector<double>& y, int n_threads) {
-  forkjoin_parallel_for(
-      static_cast<std::size_t>(a.n_rows), n_threads,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          double acc = 0.0;
-          for (offset_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k)
-            acc += a.val[static_cast<std::size_t>(k)] *
-                   x[static_cast<std::size_t>(
-                       a.col_idx[static_cast<std::size_t>(k)])];
-          y[i] = acc;
-        }
-      });
-}
-
-void spmv_sliced_ell(const SlicedEll<double>& a, const std::vector<double>& x,
-                     std::vector<double>& y, int n_threads) {
-  forkjoin_parallel_for(
-      static_cast<std::size_t>(a.n_slices), n_threads,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) {
-          const offset_t base = a.slice_ptr[s];
-          for (index_t r = 0; r < a.slice_height; ++r) {
-            const index_t i = static_cast<index_t>(s) * a.slice_height + r;
-            if (i >= a.n_rows) break;
-            double acc = 0.0;
-            const index_t len = a.row_len[static_cast<std::size_t>(i)];
-            for (index_t j = 0; j < len; ++j) {
-              const std::size_t k = static_cast<std::size_t>(
-                  base + static_cast<offset_t>(j) * a.slice_height + r);
-              acc += a.val[k] * x[static_cast<std::size_t>(a.col_idx[k])];
-            }
-            y[static_cast<std::size_t>(i)] = acc;
-          }
-        }
-      });
-}
-
-void spmv_pjds(const Pjds<double>& a, const std::vector<double>& x,
-               std::vector<double>& y, int n_threads) {
-  forkjoin_parallel_for(
-      static_cast<std::size_t>(a.n_rows), n_threads,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          double acc = 0.0;
-          const index_t len = a.row_len[i];
-          for (index_t j = 0; j < len; ++j) {
-            const std::size_t k = static_cast<std::size_t>(
-                a.col_start[static_cast<std::size_t>(j)] +
-                static_cast<offset_t>(i));
-            acc += a.val[k] * x[static_cast<std::size_t>(a.col_idx[k])];
-          }
-          y[i] = acc;
-        }
-      });
-}
-
-}  // namespace seed
-
 using PlanPtr = std::shared_ptr<const formats::FormatPlan<double>>;
 
 // ---- registry sweep: y = A·x through every plan --------------------------
@@ -215,46 +120,6 @@ void bm_plan_spmv(benchmark::State& state, const PlanPtr& plan) {
     benchmark::DoNotOptimize(v.y.data());
   }
   report(state, plan->nnz(), product_bytes(*plan));
-}
-
-// ---- seed fork-join baselines --------------------------------------------
-
-void bm_seed_csr(benchmark::State& state) {
-  const auto& a = test_matrix();
-  const int threads = static_cast<int>(state.range(0));
-  Vectors v(a);
-  for (auto _ : state) {
-    seed::spmv_csr(a, v.x, v.y, threads);
-    benchmark::DoNotOptimize(v.y.data());
-  }
-  report(state, a.nnz(), product_bytes(*formats::registry<double>().build(
-                             "csr", a)));
-}
-
-void bm_seed_sliced_ell(benchmark::State& state, const PlanPtr& plan) {
-  const auto& a = test_matrix();
-  const int threads = static_cast<int>(state.range(0));
-  const auto& s =
-      dynamic_cast<const formats::SlicedEllPlan<double>&>(*plan).format();
-  Vectors v(a);
-  for (auto _ : state) {
-    seed::spmv_sliced_ell(s, v.x, v.y, threads);
-    benchmark::DoNotOptimize(v.y.data());
-  }
-  report(state, a.nnz(), product_bytes(*plan));
-}
-
-void bm_seed_pjds(benchmark::State& state, const PlanPtr& plan) {
-  const auto& a = test_matrix();
-  const int threads = static_cast<int>(state.range(0));
-  const auto& p =
-      dynamic_cast<const formats::PjdsPlan<double>&>(*plan).format();
-  Vectors v(a);
-  for (auto _ : state) {
-    seed::spmv_pjds(p, v.x, v.y, threads);
-    benchmark::DoNotOptimize(v.y.data());
-  }
-  report(state, a.nnz(), product_bytes(*plan));
 }
 
 // ---- pJDS block_rows sweep and build cost --------------------------------
@@ -333,28 +198,7 @@ void register_benchmarks(const std::string& only_format) {
         ->Args({4, 4});
   }
 
-  if (want("csr")) {
-    benchmark::RegisterBenchmark("seed/spmv/csr_forkjoin", bm_seed_csr)
-        ->Arg(1)
-        ->Arg(2)
-        ->Arg(4)
-        ->Arg(8);
-  }
-  if (want("sliced_ell")) {
-    const PlanPtr sell = reg.build("sliced_ell", a);
-    benchmark::RegisterBenchmark(
-        "seed/spmv/sliced_ell_forkjoin",
-        [sell](benchmark::State& s) { bm_seed_sliced_ell(s, sell); })
-        ->Arg(1)
-        ->Arg(4);
-  }
   if (want("pjds")) {
-    const PlanPtr pjds = reg.build("pjds", a);
-    benchmark::RegisterBenchmark(
-        "seed/spmv/pjds_forkjoin",
-        [pjds](benchmark::State& s) { bm_seed_pjds(s, pjds); })
-        ->Arg(1)
-        ->Arg(4);
     benchmark::RegisterBenchmark("spmv/pjds/block_rows", bm_pjds_block_rows)
         ->Arg(1)
         ->Arg(32)

@@ -102,33 +102,36 @@ int main(int argc, char** argv) {
                           : '.';
              });
 
-  // Step 1: compress left (the ELLPACK rectangle; o = zero fill). The
-  // raw arrays come from the plan's typed accessor.
-  const auto ell_plan = reg.build("ellpack", a, opt);
-  const Ellpack<double>& ell =
-      dynamic_cast<const formats::EllpackPlan<double>&>(*ell_plan).format();
+  // Both are SELL-C-σ presets; the raw arrays come from the plan's typed
+  // accessor.
+  const auto sell = [&](const char* name) {
+    return dynamic_cast<const formats::SlicedEllPlan<double>&>(
+               *reg.build(name, a, opt))
+        .format();
+  };
+
+  // Step 1: compress left (the ELLPACK rectangle, SELL-N-1; o = zero
+  // fill).
+  const SlicedEll<double> ell = sell("ellpack");
   print_grid("ELLPACK view (compressed left; o = padding):", a.n_rows,
-             ell.width, [&](index_t i, index_t j) {
+             ell.slice_width(0), [&](index_t i, index_t j) {
                return j < ell.row_len[static_cast<std::size_t>(i)] ? 'x' : 'o';
              });
 
-  // Step 2+3: sort by row length, pad blocks of br = 4.
-  const auto pjds_plan = reg.build("pjds", a, opt);
-  const Pjds<double>& p =
-      dynamic_cast<const formats::PjdsPlan<double>&>(*pjds_plan).format();
+  // Step 2+3: sort by row length, pad blocks of br = 4 (SELL-4-N).
+  const SlicedEll<double> p = sell("pjds");
   print_grid("pJDS (sorted + block-padded; o = block fill):", p.padded_rows,
-             p.width, [&](index_t i, index_t j) {
+             p.slice_width(0), [&](index_t i, index_t j) {
                if (j < p.row_len[static_cast<std::size_t>(i)]) return 'x';
-               return j < p.padded_row_len(i) ? 'o' : ' ';
+               return j < p.slice_width(i / p.slice_height) ? 'o' : ' ';
              });
 
   std::printf("row permutation (new -> old): ");
   for (index_t r = 0; r < p.n_rows; ++r)
     std::printf("%d ", p.perm.old_of(r));
-  std::printf("\ncol_start[]: ");
-  for (index_t j = 0; j <= p.width; ++j)
-    std::printf("%lld ", static_cast<long long>(
-                             p.col_start[static_cast<std::size_t>(j)]));
+  std::printf("\nslice_ptr[]: ");
+  for (const offset_t off : p.slice_ptr)
+    std::printf("%lld ", static_cast<long long>(off));
   std::printf("\n\n");
 
   // Fig. 2: storage size of each registered format (entries incl. fill).

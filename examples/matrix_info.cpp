@@ -60,10 +60,10 @@ int main(int argc, char** argv) {
                 fmt(static_cast<double>(f.total_bytes(8)) / 1e6, 1)});
   };
   add("CRS", footprint(a));
-  add("ELLPACK-R", footprint(Ellpack<double>::from_csr(a, 32), true));
+  add("ELLPACK-R", footprint(SlicedEll<double>::ellpack(a, 32)));
   add("JDS", footprint(Jds<double>::from_csr(a)));
   add("sliced-ELL", footprint(SlicedEll<double>::from_csr(a, 32)));
-  add("pJDS", footprint(Pjds<double>::from_csr(a)));
+  add("pJDS", footprint(SlicedEll<double>::pjds(a)));
   std::printf("%s\n", ft.render().c_str());
 
   // Simulated device throughput (DP, ECC on).

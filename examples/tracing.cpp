@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "sparse/pjds.hpp"
+#include "sparse/sliced_ell.hpp"
 #include "dist/spmv_modes.hpp"
 #include "dist/timeline.hpp"
 #include "gpusim/kernel_sim.hpp"
@@ -67,9 +67,9 @@ int main(int argc, char** argv) {
   //    and the measured α of Eq. 1 as span args.
   {
     const auto a = make_poisson2d<double>(64, 64);
-    const auto p = Pjds<double>::from_csr(a);
+    const auto p = SlicedEll<double>::pjds(a);
     const auto res =
-        gpusim::simulate(gpusim::DeviceSpec::tesla_c2070(), p, {});
+        gpusim::simulate(gpusim::DeviceSpec::tesla_c2070(), p, "pjds");
     std::printf("gpusim: pJDS on C2070, predicted %.2f us\n",
                 res.seconds * 1e6);
   }

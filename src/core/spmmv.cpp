@@ -9,6 +9,7 @@
 #include "obs/trace.hpp"
 #include "sparse/footprint.hpp"
 #include "sparse/kernel_record.hpp"
+#include "sparse/sell_tiles.hpp"
 #include "sparse/spmv_host.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -130,43 +131,6 @@ template <class T>
   });
 }
 
-template <class T>
-[[gnu::noinline]] void spmmv_pjds_impl(const Pjds<T>& a, const T* x, T* y,
-                                       int k, int n_threads) {
-  const auto kk = static_cast<std::size_t>(k);
-  const bool threaded = n_threads > 1 && a.n_rows >= 2;
-  // Balance on stored entries per padding block; thread boundaries land
-  // on block boundaries, matching the format's layout granularity.
-  const auto boff = threaded ? block_offsets(a) : std::vector<offset_t>{};
-  for_each_group(k, [&](auto w, std::size_t v0) {
-    constexpr std::size_t W = decltype(w)::value;
-    auto rows = [&](std::size_t rb, std::size_t re) {
-      for (std::size_t i = rb; i < re; ++i)
-        block_row<W>(
-            a.val.data(), a.col_idx.data(), a.row_len[i],
-            [&a, i](index_t j) {
-              return static_cast<std::size_t>(
-                  a.col_start[static_cast<std::size_t>(j)] +
-                  static_cast<offset_t>(i));
-            },
-            x + v0, kk, y + i * kk + v0);
-    };
-    if (!threaded) {
-      rows(0, static_cast<std::size_t>(a.n_rows));
-      return;
-    }
-    parallel_for_balanced(
-        std::span<const offset_t>(boff), n_threads,
-        [&](std::size_t bb, std::size_t be) {
-          const std::size_t rb = bb * static_cast<std::size_t>(a.block_rows);
-          const std::size_t re =
-              std::min(be * static_cast<std::size_t>(a.block_rows),
-                       static_cast<std::size_t>(a.n_rows));
-          if (rb < re) rows(rb, re);
-        });
-  });
-}
-
 /// Slice columns the SELL kernel adds per visit of a row. The slice is
 /// read column by column, as the single-vector kernel reads it, and each
 /// row's W sums stay in registers over this many columns. Of 1, 4 and 8
@@ -204,33 +168,34 @@ template <class T>
                                        T* y, int k, int n_threads) {
   const auto kk = static_cast<std::size_t>(k);
   const auto C = static_cast<std::size_t>(a.slice_height);
+  const auto n_rows = static_cast<std::size_t>(a.n_rows);
   for_each_group(k, [&](auto w, std::size_t v0) {
     constexpr std::size_t W = decltype(w)::value;
     constexpr std::size_t U = kSellColumnStep;
-    parallel_for_balanced(
-        std::span<const offset_t>(a.slice_ptr), n_threads,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t s = begin; s < end; ++s) {
-            const auto base = static_cast<std::size_t>(a.slice_ptr[s]);
-            const auto width =
-                static_cast<std::size_t>(a.slice_width(static_cast<index_t>(s)));
-            const std::size_t row0 = s * C;
-            const std::size_t rows =
-                std::min(C, static_cast<std::size_t>(a.n_rows) - row0);
-            T* ys = y + row0 * kk + v0;
-            for (std::size_t r = 0; r < rows; ++r)
-              for (std::size_t t = 0; t < W; ++t) ys[r * kk + t] = T{0};
-            // Every row walks the slice's full width, padding included,
-            // exactly as the single-vector kernel does.
-            std::size_t j = 0;
-            for (; j + U <= width; j += U)
-              sell_columns<U, W>(a.val.data(), a.col_idx.data(), base + j * C,
-                                 C, rows, x + v0, kk, ys);
-            for (; j < width; ++j)
-              sell_columns<1, W>(a.val.data(), a.col_idx.data(), base + j * C,
-                                 C, rows, x + v0, kk, ys);
-          }
-        });
+    detail::parallel_for_tiles(a, n_threads, [&](std::size_t begin,
+                                                 std::size_t end) {
+      detail::for_each_tile(a, begin, end, [&](std::size_t s, std::size_t r0,
+                                               std::size_t tile_rows) {
+        const std::size_t row0 = s * C + r0;
+        if (row0 >= n_rows) return;
+        const std::size_t base = static_cast<std::size_t>(a.slice_ptr[s]) + r0;
+        const auto width =
+            static_cast<std::size_t>(a.slice_width(static_cast<index_t>(s)));
+        const std::size_t rows = std::min(tile_rows, n_rows - row0);
+        T* ys = y + row0 * kk + v0;
+        for (std::size_t r = 0; r < rows; ++r)
+          for (std::size_t t = 0; t < W; ++t) ys[r * kk + t] = T{0};
+        // Every row walks the slice's full width, padding included,
+        // exactly as the single-vector kernel does.
+        std::size_t j = 0;
+        for (; j + U <= width; j += U)
+          sell_columns<U, W>(a.val.data(), a.col_idx.data(), base + j * C, C,
+                             rows, x + v0, kk, ys);
+        for (; j < width; ++j)
+          sell_columns<1, W>(a.val.data(), a.col_idx.data(), base + j * C, C,
+                             rows, x + v0, kk, ys);
+      });
+    });
   });
 }
 }  // namespace
@@ -245,24 +210,15 @@ void spmmv(const Csr<T>& a, std::span<const T> x, std::span<T> y, int k,
 }
 
 template <class T>
-void spmmv(const Pjds<T>& a, std::span<const T> x, std::span<T> y, int k,
-           int n_threads) {
-  check_block(a.n_rows, a.n_cols, x.size(), y.size(), k);
-  launch_block<T>("kernel/pjds_block", "pjds", footprint(a),
-                  static_cast<std::uint64_t>(a.val.size()), a.n_rows,
-                  a.n_cols, k,
-                  [&] { spmmv_pjds_impl(a, x.data(), y.data(), k, n_threads); });
-}
-
-template <class T>
 void spmmv(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
-           int k, int n_threads) {
+           int k, int n_threads, const char* format) {
   check_block(a.n_rows, a.n_cols, x.size(), y.size(), k);
   if (k == 1) {
-    spmv(a, x, y, n_threads);
+    spmv(a, x, y, n_threads, format);
     return;
   }
-  launch_block<T>("kernel/sell_block", "sell", footprint(a),
+  launch_block<T>(obs::format_span_name("kernel/", format, "_block"), format,
+                  footprint(a),
                   static_cast<std::uint64_t>(a.val.size()), a.n_rows,
                   a.n_cols, k,
                   [&] { spmmv_sell_impl(a, x.data(), y.data(), k, n_threads); });
@@ -280,10 +236,8 @@ double spmmv_code_balance(std::size_t scalar_size, double alpha, double nnzr,
 #define SPMVM_INSTANTIATE_SPMMV(T)                                        \
   template void spmmv(const Csr<T>&, std::span<const T>, std::span<T>,    \
                       int, int);                                          \
-  template void spmmv(const Pjds<T>&, std::span<const T>, std::span<T>,   \
-                      int, int);                                          \
   template void spmmv(const SlicedEll<T>&, std::span<const T>,            \
-                      std::span<T>, int, int)
+                      std::span<T>, int, int, const char*)
 
 SPMVM_INSTANTIATE_SPMMV(float);
 SPMVM_INSTANTIATE_SPMMV(double);

@@ -9,8 +9,9 @@
 // Every kernel accumulates each (row, vector) pair over the row's stored
 // entries in ascending order, starting from zero, for any thread count,
 // so column v of a block equals the same kernel run at k = 1 on vector
-// v bit for bit. The SELL-C-σ kernel also walks the slice padding, as
-// its single-vector kernel does, so its columns equal spmv bit for bit.
+// v bit for bit. The SELL-C-σ kernel (every ELLPACK-family preset) also
+// walks the slice padding, as its single-vector kernel does, so its
+// columns equal spmv bit for bit.
 // Widths up to 8 run as compile-time instantiations; a wider block runs
 // in groups of at most 8 vectors and reads the matrix once per group.
 #pragma once
@@ -18,7 +19,6 @@
 #include <span>
 
 #include "sparse/csr.hpp"
-#include "sparse/pjds.hpp"
 #include "sparse/sliced_ell.hpp"
 
 namespace spmvm {
@@ -29,17 +29,13 @@ template <class T>
 void spmmv(const Csr<T>& a, std::span<const T> x, std::span<T> y, int k,
            int n_threads = 1);
 
-/// pJDS variant (same basis conventions as the single-vector kernel).
-template <class T>
-void spmmv(const Pjds<T>& a, std::span<const T> x, std::span<T> y, int k,
-           int n_threads = 1);
-
-/// Sliced-ELLPACK / SELL-C-σ variant (permuted basis, like the
+/// SELL-C-σ variant for every preset (permuted basis, like the
 /// single-vector kernel): one pass over the chunk-column-major image for
-/// all k vectors. k = 1 is the single-vector spmv.
+/// all k vectors, in the same row tiles. k = 1 is the single-vector spmv.
+/// `format` names the span (kernel/<format>_block) and ledger key.
 template <class T>
 void spmmv(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
-           int k, int n_threads = 1);
+           int k, int n_threads = 1, const char* format = "sell_c_sigma");
 
 /// Theoretical balance improvement of k-vector spMMV over spMVM (Eq. 1
 /// with matrix terms divided by k): bytes/flop.
@@ -49,10 +45,8 @@ double spmmv_code_balance(std::size_t scalar_size, double alpha, double nnzr,
 #define SPMVM_EXTERN_SPMMV(T)                                            \
   extern template void spmmv(const Csr<T>&, std::span<const T>,         \
                              std::span<T>, int, int);                    \
-  extern template void spmmv(const Pjds<T>&, std::span<const T>,        \
-                             std::span<T>, int, int);                    \
   extern template void spmmv(const SlicedEll<T>&, std::span<const T>,   \
-                             std::span<T>, int, int)
+                             std::span<T>, int, int, const char*)
 
 SPMVM_EXTERN_SPMMV(float);
 SPMVM_EXTERN_SPMMV(double);

@@ -1,7 +1,6 @@
 #include "formats/plans.hpp"
 
 #include "core/spmmv.hpp"
-#include "sparse/pjds_spmv.hpp"
 #include "sparse/spmv_host.hpp"
 #include "sparse/to_csr.hpp"
 
@@ -39,35 +38,6 @@ std::optional<gpusim::KernelResult> CsrPlan<T>::simulate(
   return gpusim::simulate_csr_vector(dev, a_, opt);
 }
 
-// ---- ELLPACK / ELLPACK-R ----
-
-template <class T>
-Footprint EllpackPlan<T>::footprint() const {
-  return spmvm::footprint(a_, /*with_row_len=*/r_kernel_);
-}
-
-template <class T>
-Csr<T> EllpackPlan<T>::to_csr() const {
-  return spmvm::to_csr(a_);
-}
-
-template <class T>
-void EllpackPlan<T>::spmv(std::span<const T> x, std::span<T> y,
-                          int n_threads) const {
-  if (r_kernel_)
-    spmv_ellpack_r(a_, x, y, n_threads);
-  else
-    spmv_ellpack(a_, x, y, n_threads);
-}
-
-template <class T>
-std::optional<gpusim::KernelResult> EllpackPlan<T>::simulate(
-    const gpusim::DeviceSpec& dev, const gpusim::SimOptions& opt) const {
-  return gpusim::simulate(
-      dev, a_, r_kernel_ ? gpusim::EllpackKernel::r : gpusim::EllpackKernel::plain,
-      opt);
-}
-
 // ---- JDS ----
 
 template <class T>
@@ -87,42 +57,41 @@ void JdsPlan<T>::spmv(std::span<const T> x, std::span<T> y,
   spmvm::spmv(a_, x, y);
 }
 
-// ---- sliced ELLPACK / SELL-C-σ ----
+// ---- SELL-C-σ presets ----
 
 template <class T>
 Footprint SlicedEllPlan<T>::footprint() const {
-  return spmvm::footprint(a_);
+  return spmvm::footprint(a_, /*with_row_len=*/!full_width_);
 }
 
 template <class T>
 Csr<T> SlicedEllPlan<T>::to_csr() const {
-  return spmvm::to_csr(
-      a_, a_.columns_permuted ? PermuteColumns::yes : PermuteColumns::no);
+  return spmvm::to_csr(a_);
 }
 
 template <class T>
 void SlicedEllPlan<T>::spmv(std::span<const T> x, std::span<T> y,
                             int n_threads) const {
-  spmvm::spmv(a_, x, y, n_threads);
+  spmvm::spmv(a_, x, y, n_threads, info_->name);
 }
 
 template <class T>
 bool SlicedEllPlan<T>::spmv_axpby(std::span<const T> x, std::span<T> y,
                                   T alpha, T beta, int n_threads) const {
-  spmvm::spmv_axpby(a_, x, y, alpha, beta, n_threads);
+  spmvm::spmv_axpby(a_, x, y, alpha, beta, n_threads, info_->name);
   return true;
 }
 
 template <class T>
 void SlicedEllPlan<T>::spmmv(std::span<const T> x, std::span<T> y, int k,
                              int n_threads) const {
-  spmvm::spmmv(a_, x, y, k, n_threads);
+  spmvm::spmmv(a_, x, y, k, n_threads, info_->name);
 }
 
 template <class T>
 std::optional<gpusim::KernelResult> SlicedEllPlan<T>::simulate(
     const gpusim::DeviceSpec& dev, const gpusim::SimOptions& opt) const {
-  return gpusim::simulate(dev, a_, opt);
+  return gpusim::simulate(dev, a_, info_->name, opt, full_width_);
 }
 
 // ---- BELLPACK ----
@@ -143,50 +112,11 @@ void BellpackPlan<T>::spmv(std::span<const T> x, std::span<T> y,
   spmvm::spmv(a_, x, y, n_threads);
 }
 
-// ---- pJDS ----
-
-template <class T>
-Footprint PjdsPlan<T>::footprint() const {
-  return spmvm::footprint(a_);
-}
-
-template <class T>
-Csr<T> PjdsPlan<T>::to_csr() const {
-  return spmvm::to_csr(a_);
-}
-
-template <class T>
-void PjdsPlan<T>::spmv(std::span<const T> x, std::span<T> y,
-                       int n_threads) const {
-  spmvm::spmv(a_, x, y, n_threads);
-}
-
-template <class T>
-bool PjdsPlan<T>::spmv_axpby(std::span<const T> x, std::span<T> y, T alpha,
-                             T beta, int n_threads) const {
-  spmvm::spmv_axpby(a_, x, y, alpha, beta, n_threads);
-  return true;
-}
-
-template <class T>
-void PjdsPlan<T>::spmmv(std::span<const T> x, std::span<T> y, int k,
-                        int n_threads) const {
-  spmvm::spmmv(a_, x, y, k, n_threads);
-}
-
-template <class T>
-std::optional<gpusim::KernelResult> PjdsPlan<T>::simulate(
-    const gpusim::DeviceSpec& dev, const gpusim::SimOptions& opt) const {
-  return gpusim::simulate(dev, a_, opt);
-}
-
 #define SPMVM_INSTANTIATE_PLANS(T)   \
   template class CsrPlan<T>;         \
-  template class EllpackPlan<T>;     \
   template class JdsPlan<T>;         \
   template class SlicedEllPlan<T>;   \
-  template class BellpackPlan<T>;    \
-  template class PjdsPlan<T>
+  template class BellpackPlan<T>
 
 SPMVM_INSTANTIATE_PLANS(float);
 SPMVM_INSTANTIATE_PLANS(double);

@@ -28,16 +28,16 @@ template <class T>
 std::unique_ptr<FormatPlan<T>> build_ellpack(const Csr<T>& a,
                                              const PlanOptions& opts,
                                              const FormatInfo& info) {
-  return std::make_unique<EllpackPlan<T>>(Ellpack<T>::from_csr(a, opts.chunk),
-                                          info, /*r_kernel=*/false);
+  return std::make_unique<SlicedEllPlan<T>>(
+      SlicedEll<T>::ellpack(a, opts.chunk), info, /*full_width=*/true);
 }
 
 template <class T>
 std::unique_ptr<FormatPlan<T>> build_ellpack_r(const Csr<T>& a,
                                                const PlanOptions& opts,
                                                const FormatInfo& info) {
-  return std::make_unique<EllpackPlan<T>>(Ellpack<T>::from_csr(a, opts.chunk),
-                                          info, /*r_kernel=*/true);
+  return std::make_unique<SlicedEllPlan<T>>(
+      SlicedEll<T>::ellpack(a, opts.chunk), info);
 }
 
 template <class T>
@@ -82,10 +82,8 @@ template <class T>
 std::unique_ptr<FormatPlan<T>> build_pjds(const Csr<T>& a,
                                           const PlanOptions& opts,
                                           const FormatInfo& info) {
-  PjdsOptions po;
-  po.block_rows = opts.chunk;
-  po.permute_columns = effective_permute(a, opts);
-  return std::make_unique<PjdsPlan<T>>(Pjds<T>::from_csr(a, po), info);
+  return std::make_unique<SlicedEllPlan<T>>(
+      SlicedEll<T>::pjds(a, opts.chunk, effective_permute(a, opts)), info);
 }
 
 template <class T>
@@ -102,10 +100,10 @@ void register_builtins(FormatRegistry<T>& reg) {
                        /*has_sim_kernel=*/true, /*native_spmmv=*/true},
                       &build_csr<T>);
   reg.register_format({"ellpack", "ELLPACK rectangle, full-width kernel",
-                       false, false, true},
+                       false, true, true, /*native_spmmv=*/true},
                       &build_ellpack<T>);
   reg.register_format({"ellpack_r", "ELLPACK + rowmax[] early exit",
-                       false, false, true},
+                       false, true, true, /*native_spmmv=*/true},
                       &build_ellpack_r<T>);
   reg.register_format({"jds", "jagged diagonals, full sort, no padding",
                        true, false, false},

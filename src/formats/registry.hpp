@@ -15,6 +15,9 @@
 //   bellpack     blocked ELLPACK, dense block_r × block_c tiles
 //   pjds         the paper's padded JDS (Sec. II-A)
 //   auto         Eq. 1 ranking at measured α + measured probe
+//
+// ellpack, ellpack_r, sliced_ell, sell_c_sigma and pjds are presets of
+// one SELL-C-σ storage (sparse/sliced_ell.hpp) with one SlicedEllPlan.
 #pragma once
 
 #include <deque>

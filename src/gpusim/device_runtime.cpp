@@ -37,88 +37,4 @@ void DeviceRuntime::launch(const KernelResult& kernel) {
   kernel_clock_ += kernel.seconds;
 }
 
-template <class T>
-DeviceSpmv<T>::DeviceSpmv(std::shared_ptr<DeviceRuntime> device,
-                          const Csr<T>& a, FormatKind format, index_t chunk)
-    : device_(std::move(device)),
-      format_(format),
-      n_rows_(a.n_rows),
-      n_cols_(a.n_cols),
-      bytes_(gpusim::device_bytes(a, format, chunk)),
-      allocation_(device_->alloc(bytes_)) {
-  SimOptions opt;
-  opt.ecc = device_->ecc();
-  switch (format) {
-    case FormatKind::csr_scalar:
-    case FormatKind::csr_vector:
-      csr_ = a;
-      break;
-    case FormatKind::ellpack:
-    case FormatKind::ellpack_r:
-      ellpack_ = Ellpack<T>::from_csr(a, chunk);
-      break;
-    case FormatKind::sliced_ell:
-      sliced_ = SlicedEll<T>::from_csr(a, chunk);
-      break;
-    case FormatKind::pjds: {
-      PjdsOptions popt;
-      popt.block_rows = chunk;
-      popt.permute_columns =
-          a.n_rows == a.n_cols ? PermuteColumns::yes : PermuteColumns::no;
-      pjds_op_ = std::make_unique<PjdsOperator<T>>(Pjds<T>::from_csr(a, popt));
-      break;
-    }
-  }
-  kernel_estimate_ =
-      gpusim::simulate_format(device_->spec(), a, format, opt, chunk);
-  device_->transfer(bytes_);  // upload the matrix once
-}
-
-template <class T>
-DeviceSpmv<T>::~DeviceSpmv() {
-  device_->free(allocation_);
-}
-
-template <class T>
-void DeviceSpmv<T>::apply(std::span<const T> x, std::span<T> y,
-                          bool vectors_resident) {
-  SPMVM_REQUIRE(x.size() >= static_cast<std::size_t>(n_cols_) &&
-                    y.size() >= static_cast<std::size_t>(n_rows_),
-                "vector sizes do not match the operator");
-  // Numerics: execute the same data structures on the host.
-  switch (format_) {
-    case FormatKind::csr_scalar:
-    case FormatKind::csr_vector:
-      spmv(csr_, x, y);
-      break;
-    case FormatKind::ellpack:
-      spmv_ellpack(ellpack_, x, y);
-      break;
-    case FormatKind::ellpack_r:
-      spmv_ellpack_r(ellpack_, x, y);
-      break;
-    case FormatKind::sliced_ell: {
-      // Unsorted build (σ = 1): results come out in original order.
-      spmv(sliced_, x, y);
-      break;
-    }
-    case FormatKind::pjds:
-      pjds_op_->apply(x, y);
-      break;
-  }
-  // Timing: kernel estimate plus (unless resident) the Eq. 2 transfers.
-  last_kernel_ = kernel_estimate_.seconds;
-  last_transfer_ = 0.0;
-  if (!vectors_resident) {
-    const double before = device_->elapsed_seconds();
-    device_->transfer(static_cast<std::size_t>(n_cols_) * sizeof(T));
-    device_->transfer(static_cast<std::size_t>(n_rows_) * sizeof(T));
-    last_transfer_ = device_->elapsed_seconds() - before;
-  }
-  device_->launch(kernel_estimate_);
-}
-
-template class DeviceSpmv<float>;
-template class DeviceSpmv<double>;
-
 }  // namespace spmvm::gpusim

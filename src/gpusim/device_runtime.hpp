@@ -3,18 +3,15 @@
 // The simulator's kernel and PCIe models are packaged as an executable
 // runtime: buffers are allocated against the card's real capacity
 // (allocation fails when a format does not fit, like DLR2-as-ELLPACK on
-// a C2050), transfers and launches advance a simulated device clock, and
-// kernels *actually compute* y = A·x on the host data so applications
-// get correct numerics together with modeled timings.
+// a C2050), and transfers and launches advance a simulated device clock.
+// exec's gpusim backend (exec/backends.cpp) binds format plans to it and
+// computes y = A·x on the host data, so applications get correct
+// numerics together with modeled timings.
 #pragma once
 
-#include <memory>
-#include <span>
 #include <vector>
 
-#include "sparse/pjds_spmv.hpp"
 #include "gpusim/gpu_spmv.hpp"
-#include "sparse/spmv_host.hpp"
 
 namespace spmvm::gpusim {
 
@@ -55,59 +52,5 @@ class DeviceRuntime {
   double transfer_clock_ = 0.0;
   double kernel_clock_ = 0.0;
 };
-
-/// A matrix resident on a DeviceRuntime in a chosen format, offering
-/// y = A·x with correct numerics (host execution of the same data
-/// structures) and simulated timing. The RHS upload / LHS download around
-/// each product is accounted like the paper's Eq. 2 unless the vectors
-/// are flagged device-resident.
-template <class T>
-class DeviceSpmv {
- public:
-  /// Uploads the format (build + H2D transfer of its footprint).
-  DeviceSpmv(std::shared_ptr<DeviceRuntime> device, const Csr<T>& a,
-             FormatKind format, index_t chunk = 32);
-  ~DeviceSpmv();
-
-  DeviceSpmv(const DeviceSpmv&) = delete;
-  DeviceSpmv& operator=(const DeviceSpmv&) = delete;
-
-  index_t n_rows() const { return n_rows_; }
-  index_t n_cols() const { return n_cols_; }
-  FormatKind format() const { return format_; }
-  std::size_t device_bytes() const { return bytes_; }
-
-  /// y = A·x in the *original* basis (permutations are hidden).
-  /// `vectors_resident` skips the per-call PCIe transfers — the "parts of
-  /// those vectors may be kept on the device" case of Sec. III.
-  void apply(std::span<const T> x, std::span<T> y,
-             bool vectors_resident = false);
-
-  /// Timing of the most recent apply().
-  double last_kernel_seconds() const { return last_kernel_; }
-  double last_transfer_seconds() const { return last_transfer_; }
-
- private:
-  std::shared_ptr<DeviceRuntime> device_;
-  FormatKind format_;
-  index_t n_rows_;
-  index_t n_cols_;
-  std::size_t bytes_;
-  int allocation_;
-  double last_kernel_ = 0.0;
-  double last_transfer_ = 0.0;
-
-  // Host mirrors used for execution + the precomputed kernel estimate.
-  Csr<T> csr_;                      // csr_scalar / csr_vector
-  Ellpack<T> ellpack_;              // ellpack / ellpack_r
-  SlicedEll<T> sliced_;
-  std::unique_ptr<PjdsOperator<T>> pjds_op_;
-  KernelResult kernel_estimate_;
-};
-
-#define SPMVM_EXTERN_DEVICE_RUNTIME(T) extern template class DeviceSpmv<T>
-SPMVM_EXTERN_DEVICE_RUNTIME(float);
-SPMVM_EXTERN_DEVICE_RUNTIME(double);
-#undef SPMVM_EXTERN_DEVICE_RUNTIME
 
 }  // namespace spmvm::gpusim

@@ -167,116 +167,19 @@ void record_sim(obs::SpanGuard& span, const KernelResult& r,
 }  // namespace
 
 template <class T>
-KernelResult simulate(const DeviceSpec& dev, const Ellpack<T>& m,
-                      EllpackKernel kernel, const SimOptions& opt) {
-  SPMVM_TRACE_SPAN_NAMED(span, kernel == EllpackKernel::plain
-                                   ? "gpusim/ellpack"
-                                   : "gpusim/ellpack_r");
-  Engine eng(dev, sizeof(T), opt.ecc);
-  eng.set_flops(2 * static_cast<std::uint64_t>(m.nnz));
-  const index_t ws = dev.warp_size;
-  std::vector<index_t> cols;
-  std::vector<int> lanes;
-  cols.reserve(static_cast<std::size_t>(ws));
-  lanes.reserve(static_cast<std::size_t>(ws));
-  for (index_t w0 = 0; w0 < m.padded_rows; w0 += ws) {
-    const index_t w1 = std::min<index_t>(w0 + ws, m.padded_rows);
-    index_t steps = 0;
-    if (kernel == EllpackKernel::plain) {
-      steps = m.width;
-    } else {
-      for (index_t i = w0; i < w1; ++i)
-        steps = std::max(steps, m.row_len[static_cast<std::size_t>(i)]);
-    }
-    for (index_t j = 0; j < steps; ++j) {
-      cols.clear();
-      lanes.clear();
-      for (index_t i = w0; i < w1; ++i) {
-        const bool active =
-            kernel == EllpackKernel::plain ||
-            j < m.row_len[static_cast<std::size_t>(i)];
-        if (!active) continue;
-        lanes.push_back(static_cast<int>(i - w0));
-        const std::size_t k = static_cast<std::size_t>(j) *
-                                  static_cast<std::size_t>(m.padded_rows) +
-                              static_cast<std::size_t>(i);
-        cols.push_back(m.col_idx[k]);
-      }
-      if (lanes.empty()) continue;  // no lane active in this step
-      eng.matrix_load(lanes);
-      eng.rhs_gather(cols);
-      // Useful work counts only true non-zeros even in the plain kernel.
-      std::uint64_t useful = 0;
-      for (index_t i = w0; i < w1; ++i)
-        if (j < m.row_len[static_cast<std::size_t>(i)]) ++useful;
-      eng.warp_step(useful);
-    }
-    eng.end_warp();
-  }
-  // LHS store and, for ELLPACK-R, the rowmax[] stream.
-  eng.stream(static_cast<std::uint64_t>(m.n_rows) * sizeof(T));
-  if (kernel == EllpackKernel::r)
-    eng.stream(static_cast<std::uint64_t>(m.n_rows) * sizeof(index_t));
-  const KernelResult res = eng.finalize();
-  record_sim(span, res, sizeof(T),
-             kernel == EllpackKernel::plain ? "ellpack" : "ellpack_r", dev,
-             opt.ecc, m.n_rows);
-  return res;
-}
-
-template <class T>
-KernelResult simulate(const DeviceSpec& dev, const Pjds<T>& m,
-                      const SimOptions& opt) {
-  SPMVM_TRACE_SPAN_NAMED(span, "gpusim/pjds");
-  Engine eng(dev, sizeof(T), opt.ecc);
-  eng.set_flops(2 * static_cast<std::uint64_t>(m.nnz));
-  const index_t ws = dev.warp_size;
-  std::vector<index_t> cols;
-  std::vector<int> lanes;
-  cols.reserve(static_cast<std::size_t>(ws));
-  lanes.reserve(static_cast<std::size_t>(ws));
-  for (index_t w0 = 0; w0 < m.padded_rows; w0 += ws) {
-    const index_t w1 = std::min<index_t>(w0 + ws, m.padded_rows);
-    // Rows are globally sorted by descending length: the active lanes of
-    // every step are a prefix of the warp.
-    const index_t steps = m.row_len[static_cast<std::size_t>(w0)];
-    for (index_t j = 0; j < steps; ++j) {
-      cols.clear();
-      lanes.clear();
-      for (index_t i = w0; i < w1; ++i) {
-        if (j >= m.row_len[static_cast<std::size_t>(i)]) break;
-        lanes.push_back(static_cast<int>(i - w0));
-        const std::size_t k = static_cast<std::size_t>(
-            m.col_start[static_cast<std::size_t>(j)] +
-            static_cast<offset_t>(i));
-        cols.push_back(m.col_idx[k]);
-      }
-      if (cols.empty()) continue;
-      eng.matrix_load(lanes);
-      eng.rhs_gather(cols);
-      eng.warp_step(cols.size());
-    }
-    eng.end_warp();
-  }
-  eng.stream(static_cast<std::uint64_t>(m.n_rows) * sizeof(T));          // LHS
-  eng.stream(static_cast<std::uint64_t>(m.n_rows) * sizeof(index_t));    // rowmax
-  // col_start[] is warp-uniform per step. With an L2 (Fermi) or mapped to
-  // the texture cache (C1060, as the paper requires) it is effectively
-  // free; otherwise each step re-reads one 32-byte segment.
-  if (dev.l2_bytes == 0 && !opt.col_start_in_texture)
-    eng.stream(eng.stats().warp_steps * 32);
-  const KernelResult res = eng.finalize();
-  record_sim(span, res, sizeof(T), "pjds", dev, opt.ecc, m.n_rows);
-  return res;
-}
-
-template <class T>
 KernelResult simulate(const DeviceSpec& dev, const SlicedEll<T>& m,
-                      const SimOptions& opt) {
-  SPMVM_TRACE_SPAN_NAMED(span, "gpusim/sell");
+                      const char* format, const SimOptions& opt,
+                      bool full_width) {
+  SPMVM_TRACE_SPAN_NAMED(span, obs::format_span_name("gpusim/", format));
   Engine eng(dev, sizeof(T), opt.ecc);
   eng.set_flops(2 * static_cast<std::uint64_t>(m.nnz));
   const index_t ws = dev.warp_size;
+  // Steps lane i runs: its row length, or with full_width its slice's
+  // width (padding and phantom rows included).
+  const auto lane_len = [&](index_t i) {
+    return full_width ? m.slice_width(i / m.slice_height)
+                      : m.row_len[static_cast<std::size_t>(i)];
+  };
   std::vector<index_t> cols;
   std::vector<int> lanes;
   cols.reserve(static_cast<std::size_t>(ws));
@@ -284,13 +187,14 @@ KernelResult simulate(const DeviceSpec& dev, const SlicedEll<T>& m,
   for (index_t w0 = 0; w0 < m.padded_rows; w0 += ws) {
     const index_t w1 = std::min<index_t>(w0 + ws, m.padded_rows);
     index_t steps = 0;
-    for (index_t i = w0; i < w1; ++i)
-      steps = std::max(steps, m.row_len[static_cast<std::size_t>(i)]);
+    for (index_t i = w0; i < w1; ++i) steps = std::max(steps, lane_len(i));
     for (index_t j = 0; j < steps; ++j) {
       cols.clear();
       lanes.clear();
+      // Useful work counts only true non-zeros, even at full width.
+      std::uint64_t useful = 0;
       for (index_t i = w0; i < w1; ++i) {
-        if (j >= m.row_len[static_cast<std::size_t>(i)]) continue;
+        if (j >= lane_len(i)) continue;
         lanes.push_back(static_cast<int>(i - w0));
         const index_t s = i / m.slice_height;
         const index_t r = i % m.slice_height;
@@ -298,18 +202,22 @@ KernelResult simulate(const DeviceSpec& dev, const SlicedEll<T>& m,
             m.slice_ptr[static_cast<std::size_t>(s)] +
             static_cast<offset_t>(j) * m.slice_height + r);
         cols.push_back(m.col_idx[k]);
+        if (j < m.row_len[static_cast<std::size_t>(i)]) ++useful;
       }
       if (lanes.empty()) continue;
       eng.matrix_load(lanes);
       eng.rhs_gather(cols);
-      eng.warp_step(cols.size());
+      eng.warp_step(useful);
     }
     eng.end_warp();
   }
+  // LHS store and, unless every lane runs the full width, the row_len[]
+  // (ELLPACK-R's rowmax[]) stream.
   eng.stream(static_cast<std::uint64_t>(m.n_rows) * sizeof(T));
-  eng.stream(static_cast<std::uint64_t>(m.n_rows) * sizeof(index_t));
+  if (!full_width)
+    eng.stream(static_cast<std::uint64_t>(m.n_rows) * sizeof(index_t));
   const KernelResult res = eng.finalize();
-  record_sim(span, res, sizeof(T), "sell", dev, opt.ecc, m.n_rows);
+  record_sim(span, res, sizeof(T), format, dev, opt.ecc, m.n_rows);
   return res;
 }
 
@@ -397,11 +305,12 @@ KernelResult simulate_csr_vector(const DeviceSpec& dev, const Csr<T>& m,
 }
 
 template <class T>
-KernelResult simulate_ellr_t(const DeviceSpec& dev, const Ellpack<T>& m,
+KernelResult simulate_ellr_t(const DeviceSpec& dev, const SlicedEll<T>& m,
                              int threads_per_row, const SimOptions& opt) {
   SPMVM_REQUIRE(threads_per_row >= 1 &&
                     dev.warp_size % threads_per_row == 0,
                 "threads_per_row must divide the warp size");
+  SPMVM_REQUIRE(m.n_slices <= 1, "ELLR-T runs on the one-slice ellpack preset");
   SPMVM_TRACE_SPAN_NAMED(span, "gpusim/ellr_t");
   Engine eng(dev, sizeof(T), opt.ecc);
   eng.set_flops(2 * static_cast<std::uint64_t>(m.nnz));
@@ -455,12 +364,8 @@ KernelResult simulate_ellr_t(const DeviceSpec& dev, const Ellpack<T>& m,
 }
 
 #define SPMVM_INSTANTIATE_KERNEL_SIM(T)                                    \
-  template KernelResult simulate(const DeviceSpec&, const Ellpack<T>&,     \
-                                 EllpackKernel, const SimOptions&);        \
-  template KernelResult simulate(const DeviceSpec&, const Pjds<T>&,        \
-                                 const SimOptions&);                       \
   template KernelResult simulate(const DeviceSpec&, const SlicedEll<T>&,   \
-                                 const SimOptions&);                       \
+                                 const char*, const SimOptions&, bool);    \
   template KernelResult simulate_csr_scalar(const DeviceSpec&,             \
                                             const Csr<T>&,                 \
                                             const SimOptions&);            \
@@ -468,7 +373,7 @@ KernelResult simulate_ellr_t(const DeviceSpec& dev, const Ellpack<T>& m,
                                             const Csr<T>&,                 \
                                             const SimOptions&);            \
   template KernelResult simulate_ellr_t(const DeviceSpec&,                 \
-                                        const Ellpack<T>&, int,            \
+                                        const SlicedEll<T>&, int,          \
                                         const SimOptions&)
 
 SPMVM_INSTANTIATE_KERNEL_SIM(float);

@@ -11,26 +11,23 @@
 //     the warp completes — ELLPACK-R's "useless hardware reservation"
 //     (light boxes in Fig. 2b) — while pJDS's sorted rows keep lanes busy.
 //
+// One kernel covers every ELLPACK-family format: they are SELL-C-σ
+// presets (sparse/sliced_ell.hpp), and only plain ELLPACK needs a switch
+// (every lane runs the full width).
+//
 // Kernel time = max(memory time, issue time) + launch overhead, i.e. the
 // kernel is modeled as either bandwidth-bound or issue/occupancy-bound,
 // which is what separates the SP and DP columns of Table I.
 #pragma once
 
-#include "sparse/pjds.hpp"
 #include "gpusim/device_spec.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/ellpack.hpp"
 #include "sparse/sliced_ell.hpp"
 
 namespace spmvm::gpusim {
 
 struct SimOptions {
   bool ecc = true;
-  /// Map the pJDS col_start[] array to the texture cache. On Fermi the
-  /// L2 makes this a no-op; on the C1060 generation (no L2) the paper
-  /// notes it is *necessary* — without it every warp step re-reads the
-  /// offset from device memory.
-  bool col_start_in_texture = true;
 };
 
 struct KernelStats {
@@ -63,23 +60,17 @@ struct KernelResult {
   double code_balance = 0.0;  // DRAM bytes per useful flop (Eq. 1)
 };
 
-enum class EllpackKernel { plain, r };
-
-/// Simulate the ELLPACK (plain, Fig. 2a) or ELLPACK-R (Listing 1,
-/// Fig. 2b) kernel.
-template <class T>
-KernelResult simulate(const DeviceSpec& dev, const Ellpack<T>& m,
-                      EllpackKernel kernel, const SimOptions& opt = {});
-
-/// Simulate the pJDS kernel (Listing 2, Fig. 2c).
-template <class T>
-KernelResult simulate(const DeviceSpec& dev, const Pjds<T>& m,
-                      const SimOptions& opt = {});
-
-/// Simulate the sliced-ELLPACK kernel (ELLR-T-style row_len early exit).
+/// Simulate the SELL-C-σ kernel on any preset: warps of consecutive
+/// rows, each lane stopping at its row length (ELLPACK-R's Listing 1,
+/// pJDS's Listing 2) and reading row_len[]. With `full_width` every lane
+/// runs its slice's width and no row_len[] is streamed: the plain
+/// ELLPACK kernel (Fig. 2a). `format` is the registry name the run is
+/// recorded under (span gpusim/<format>, ledger key); it must point to
+/// static storage.
 template <class T>
 KernelResult simulate(const DeviceSpec& dev, const SlicedEll<T>& m,
-                      const SimOptions& opt = {});
+                      const char* format, const SimOptions& opt = {},
+                      bool full_width = false);
 
 /// Simulate ELLR-T (Vázquez et al., ref. [3]): ELLPACK-R storage with
 /// `threads_per_row` lanes cooperating on each row, so a warp covers
@@ -87,8 +78,9 @@ KernelResult simulate(const DeviceSpec& dev, const SlicedEll<T>& m,
 /// log2(T) reduction). T is the matrix-dependent tuning parameter the
 /// paper contrasts with pJDS's parameter-free design. T must divide the
 /// warp size.
+/// `m` is the `ellpack` preset (one slice).
 template <class T>
-KernelResult simulate_ellr_t(const DeviceSpec& dev, const Ellpack<T>& m,
+KernelResult simulate_ellr_t(const DeviceSpec& dev, const SlicedEll<T>& m,
                              int threads_per_row, const SimOptions& opt = {});
 
 /// Simulate a naive CSR kernel with one thread per row: lane addresses
@@ -108,13 +100,8 @@ KernelResult simulate_csr_vector(const DeviceSpec& dev, const Csr<T>& m,
 
 #define SPMVM_EXTERN_KERNEL_SIM(T)                                         \
   extern template KernelResult simulate(const DeviceSpec&,                 \
-                                        const Ellpack<T>&, EllpackKernel,  \
-                                        const SimOptions&);                \
-  extern template KernelResult simulate(const DeviceSpec&, const Pjds<T>&, \
-                                        const SimOptions&);                \
-  extern template KernelResult simulate(const DeviceSpec&,                 \
-                                        const SlicedEll<T>&,               \
-                                        const SimOptions&);                \
+                                        const SlicedEll<T>&, const char*,  \
+                                        const SimOptions&, bool);          \
   extern template KernelResult simulate_csr_scalar(const DeviceSpec&,      \
                                                    const Csr<T>&,          \
                                                    const SimOptions&);     \
@@ -122,7 +109,7 @@ KernelResult simulate_csr_vector(const DeviceSpec& dev, const Csr<T>& m,
                                                    const Csr<T>&,          \
                                                    const SimOptions&);     \
   extern template KernelResult simulate_ellr_t(const DeviceSpec&,          \
-                                               const Ellpack<T>&, int,     \
+                                               const SlicedEll<T>&, int,   \
                                                const SimOptions&)
 
 SPMVM_EXTERN_KERNEL_SIM(float);

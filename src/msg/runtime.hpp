@@ -154,10 +154,13 @@ class Comm {
   template <class T>
   std::vector<std::vector<T>> alltoall_t(
       const std::vector<std::vector<T>>& send) {
+    // memcpy with a null pointer is undefined even for 0 bytes, and an
+    // empty vector's data() may be null: skip empty buffers.
     std::vector<std::vector<std::byte>> raw(send.size());
     for (std::size_t d = 0; d < send.size(); ++d) {
       raw[d].resize(send[d].size() * sizeof(T));
-      std::memcpy(raw[d].data(), send[d].data(), raw[d].size());
+      if (!raw[d].empty())
+        std::memcpy(raw[d].data(), send[d].data(), raw[d].size());
     }
     const auto got = alltoall(raw);
     std::vector<std::vector<T>> out(got.size());
@@ -165,7 +168,8 @@ class Comm {
       SPMVM_REQUIRE(got[s].size() % sizeof(T) == 0,
                     "alltoall payload size not a multiple of element size");
       out[s].resize(got[s].size() / sizeof(T));
-      std::memcpy(out[s].data(), got[s].data(), got[s].size());
+      if (!got[s].empty())
+        std::memcpy(out[s].data(), got[s].data(), got[s].size());
     }
     return out;
   }

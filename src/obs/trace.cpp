@@ -4,9 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string_view>
+#include <tuple>
 
 #include "obs/metrics.hpp"
 
@@ -166,6 +168,18 @@ void clear_trace() {
     std::lock_guard<std::mutex> blk(b->m);
     b->events.clear();
   }
+}
+
+const char* format_span_name(const char* prefix, const char* format,
+                             const char* suffix) {
+  if (!tracing_enabled()) return nullptr;
+  using Key = std::tuple<const char*, const char*, const char*>;
+  static std::mutex m;
+  static std::map<Key, std::string> names;
+  std::lock_guard<std::mutex> lk(m);
+  auto [it, added] = names.try_emplace(Key{prefix, format, suffix});
+  if (added) it->second = std::string(prefix) + format + suffix;
+  return it->second.c_str();
 }
 
 SpanGuard::SpanGuard(const char* name, std::uint64_t bytes) {

@@ -111,6 +111,15 @@ std::vector<TraceThread> trace_threads();
 /// Drop all recorded spans (thread registrations are kept).
 void clear_trace();
 
+/// Span name "<prefix><format><suffix>" for sites shared by several
+/// formats (kernel/<fmt>_axpby, gpusim/<fmt>, ...), in static storage:
+/// each distinct triple is composed once and kept for the life of the
+/// process. All three arguments must point to static storage. Returns
+/// nullptr while tracing is off (no lock taken); SpanGuard records a
+/// null name as nothing.
+const char* format_span_name(const char* prefix, const char* format,
+                             const char* suffix = "");
+
 /// RAII span: records [construction, destruction) into the calling
 /// thread's buffer when tracing is enabled, else does nothing.
 class SpanGuard {

@@ -15,16 +15,6 @@ Footprint footprint(const Csr<T>& a) {
 }
 
 template <class T>
-Footprint footprint(const Ellpack<T>& a, bool with_row_len) {
-  Footprint f;
-  f.stored_entries = a.stored_entries();
-  f.index_entries = a.stored_entries();
-  f.true_nnz = a.nnz;
-  f.aux_bytes = with_row_len ? a.row_len.size() * sizeof(index_t) : 0;
-  return f;
-}
-
-template <class T>
 Footprint footprint(const Jds<T>& a) {
   Footprint f;
   f.stored_entries = a.nnz;
@@ -36,24 +26,13 @@ Footprint footprint(const Jds<T>& a) {
 }
 
 template <class T>
-Footprint footprint(const SlicedEll<T>& a) {
+Footprint footprint(const SlicedEll<T>& a, bool with_row_len) {
   Footprint f;
   f.stored_entries = a.stored_entries();
   f.index_entries = a.stored_entries();
   f.true_nnz = a.nnz;
-  f.aux_bytes = a.slice_ptr.size() * sizeof(offset_t) +
-                a.row_len.size() * sizeof(index_t);
-  return f;
-}
-
-template <class T>
-Footprint footprint(const Pjds<T>& a) {
-  Footprint f;
-  f.stored_entries = a.stored_entries();
-  f.index_entries = a.stored_entries();
-  f.true_nnz = a.nnz;
-  f.aux_bytes = a.col_start.size() * sizeof(offset_t) +
-                a.row_len.size() * sizeof(index_t);
+  f.aux_bytes = a.slice_ptr.size() * sizeof(offset_t);
+  if (with_row_len) f.aux_bytes += a.row_len.size() * sizeof(index_t);
   return f;
 }
 
@@ -68,7 +47,8 @@ Footprint footprint(const Bellpack<T>& a) {
 }
 
 template <class T>
-double data_reduction_percent(const Pjds<T>& pjds, const Ellpack<T>& ell) {
+double data_reduction_percent(const SlicedEll<T>& pjds,
+                              const SlicedEll<T>& ell) {
   SPMVM_REQUIRE(pjds.nnz == ell.nnz,
                 "formats must describe the same matrix");
   if (ell.stored_entries() == 0) return 0.0;
@@ -78,13 +58,11 @@ double data_reduction_percent(const Pjds<T>& pjds, const Ellpack<T>& ell) {
 
 #define SPMVM_INSTANTIATE_FOOTPRINT(T)                         \
   template Footprint footprint(const Csr<T>&);                 \
-  template Footprint footprint(const Ellpack<T>&, bool);       \
   template Footprint footprint(const Jds<T>&);                 \
-  template Footprint footprint(const SlicedEll<T>&);           \
-  template Footprint footprint(const Pjds<T>&);                \
+  template Footprint footprint(const SlicedEll<T>&, bool);     \
   template Footprint footprint(const Bellpack<T>&);            \
-  template double data_reduction_percent(const Pjds<T>&,       \
-                                         const Ellpack<T>&)
+  template double data_reduction_percent(const SlicedEll<T>&,  \
+                                         const SlicedEll<T>&)
 
 SPMVM_INSTANTIATE_FOOTPRINT(float);
 SPMVM_INSTANTIATE_FOOTPRINT(double);

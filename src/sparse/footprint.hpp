@@ -2,10 +2,8 @@
 // "data reduction" row and the storage sizes of Fig. 2).
 #pragma once
 
-#include "sparse/pjds.hpp"
 #include "sparse/bellpack.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/ellpack.hpp"
 #include "sparse/jds.hpp"
 #include "sparse/sliced_ell.hpp"
 
@@ -18,7 +16,7 @@ struct Footprint {
   offset_t index_entries = 0;   // column indices stored (== stored_entries
                                 // except blocked formats: one per tile)
   offset_t true_nnz = 0;
-  std::size_t aux_bytes = 0;  // row_len / col_start / slice_ptr / row_ptr
+  std::size_t aux_bytes = 0;  // row_len / slice_ptr / jd_ptr / row_ptr
 
   std::size_t value_bytes(std::size_t scalar_size) const {
     return static_cast<std::size_t>(stored_entries) * scalar_size;
@@ -40,31 +38,30 @@ struct Footprint {
 template <class T>
 Footprint footprint(const Csr<T>& a);
 template <class T>
-Footprint footprint(const Ellpack<T>& a, bool with_row_len);
-template <class T>
 Footprint footprint(const Jds<T>& a);
+/// Any SELL-C-σ preset: val + col_idx + slice_ptr[], plus row_len[] when
+/// the kernel reads it — every preset but plain ELLPACK, whose lanes all
+/// run the full width (Fig. 2a; ELLPACK-R's rowmax[] is row_len[]).
 template <class T>
-Footprint footprint(const SlicedEll<T>& a);
-template <class T>
-Footprint footprint(const Pjds<T>& a);
+Footprint footprint(const SlicedEll<T>& a, bool with_row_len = true);
 template <class T>
 Footprint footprint(const Bellpack<T>& a);
 
 /// Table I, first row: percentage of ELLPACK storage saved by pJDS,
 /// 100 * (1 - stored_pJDS / stored_ELLPACK), counted in matrix entries
-/// (values + indices scale identically).
+/// (values + indices scale identically). Takes the `pjds` and `ellpack`
+/// presets of one matrix.
 template <class T>
-double data_reduction_percent(const Pjds<T>& pjds, const Ellpack<T>& ell);
+double data_reduction_percent(const SlicedEll<T>& pjds,
+                              const SlicedEll<T>& ell);
 
 #define SPMVM_EXTERN_FOOTPRINT(T)                                     \
   extern template Footprint footprint(const Csr<T>&);                 \
-  extern template Footprint footprint(const Ellpack<T>&, bool);       \
   extern template Footprint footprint(const Jds<T>&);                 \
-  extern template Footprint footprint(const SlicedEll<T>&);           \
-  extern template Footprint footprint(const Pjds<T>&);                \
+  extern template Footprint footprint(const SlicedEll<T>&, bool);     \
   extern template Footprint footprint(const Bellpack<T>&);            \
-  extern template double data_reduction_percent(const Pjds<T>&,       \
-                                                const Ellpack<T>&)
+  extern template double data_reduction_percent(const SlicedEll<T>&,  \
+                                                const SlicedEll<T>&)
 
 SPMVM_EXTERN_FOOTPRINT(float);
 SPMVM_EXTERN_FOOTPRINT(double);

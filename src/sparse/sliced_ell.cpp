@@ -23,13 +23,18 @@ SlicedEll<T> SlicedEll<T>::from_csr(const Csr<T>& a, index_t slice_height,
   m.nnz = a.nnz();
   m.columns_permuted = permute_columns == PermuteColumns::yes;
 
-  std::vector<index_t> lens(static_cast<std::size_t>(a.n_rows));
-  for (index_t i = 0; i < a.n_rows; ++i)
-    lens[static_cast<std::size_t>(i)] = a.row_len(i);
-  m.perm = Permutation::sort_descending(lens, sort_window);
-  const Csr<T> p = (sort_window == 1)
-                       ? a
-                       : permute_csr(a, m.perm, permute_columns);
+  // σ = 1 keeps the original order: read `a` in place.
+  Csr<T> sorted;
+  if (sort_window > 1) {
+    std::vector<index_t> lens(static_cast<std::size_t>(a.n_rows));
+    for (index_t i = 0; i < a.n_rows; ++i)
+      lens[static_cast<std::size_t>(i)] = a.row_len(i);
+    m.perm = Permutation::sort_descending(lens, sort_window);
+    sorted = permute_csr(a, m.perm, permute_columns);
+  } else {
+    m.perm = Permutation::identity(a.n_rows);
+  }
+  const Csr<T>& p = sort_window > 1 ? sorted : a;
 
   m.row_len.assign(static_cast<std::size_t>(m.padded_rows), index_t{0});
   for (index_t i = 0; i < a.n_rows; ++i)
@@ -67,6 +72,20 @@ SlicedEll<T> SlicedEll<T>::from_csr(const Csr<T>& a, index_t slice_height,
     }
   }
   return m;
+}
+
+template <class T>
+SlicedEll<T> SlicedEll<T>::ellpack(const Csr<T>& a, index_t chunk) {
+  SPMVM_REQUIRE(chunk >= 1, "row chunk must be >= 1");
+  const index_t rows = (a.n_rows + chunk - 1) / chunk * chunk;
+  return from_csr(a, std::max(rows, chunk));
+}
+
+template <class T>
+SlicedEll<T> SlicedEll<T>::pjds(const Csr<T>& a, index_t block_rows,
+                                PermuteColumns permute_columns) {
+  return from_csr(a, block_rows, std::max<index_t>(a.n_rows, 1),
+                  permute_columns);
 }
 
 template <class T>

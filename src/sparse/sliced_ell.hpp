@@ -1,11 +1,26 @@
-// Sliced ELLPACK (Monakov et al. [12]) with an optional sorting window —
-// the related-work comparator the paper's outlook discusses, and with
-// sort_window > 1 the SELL-C-σ format that pJDS evolved into.
+// SELL-C-σ: sliced ELLPACK (Monakov et al. [12]) with a sorting window —
+// the one storage behind every ELLPACK-family format of the paper.
 //
-// The matrix is cut into slices of `slice_height` rows; each slice is
+// The matrix is cut into slices of `slice_height` rows (C); each slice is
 // padded to its own maximum row length and stored column-major. Rows may
 // be pre-sorted by descending length within windows of `sort_window` rows
 // (σ): σ = 1 keeps the original order, σ >= N is a full sort.
+//
+// The registry's formats are presets over this one layout (the SELL-C-σ
+// paper, arXiv:1307.6209):
+//
+//   preset        C                          σ      columns permuted
+//   ellpack       n_rows rounded up to chunk 1      no   (SELL-N-1)
+//   ellpack_r     same image as ellpack      1      no
+//   sliced_ell    chunk                      1      no   (SELL-C-1)
+//   sell_c_sigma  chunk                      σ      square matrices
+//   pjds          chunk (= br)               N      square matrices
+//
+// ELLPACK's rectangle is a single slice, so entry (i, j) sits at
+// j·padded_rows + i exactly as in Fig. 2a. pJDS is SELL-br-N: the full
+// descending sort plus br-row padding blocks of Fig. 1, stored slice by
+// slice instead of diagonal by diagonal (column j of slice s starts at
+// slice_ptr[s] + j·C, so no col_start[] array is needed).
 #pragma once
 
 #include "sparse/csr.hpp"
@@ -28,12 +43,24 @@ struct SlicedEll {
 
   AlignedVector<offset_t> slice_ptr;  // n_slices + 1; element offsets
   AlignedVector<index_t> row_len;     // padded_rows
-  AlignedVector<index_t> col_idx;     // slice_ptr.back()
-  AlignedVector<T> val;               // slice_ptr.back()
+  AlignedVector<index_t> col_idx;     // slice_ptr.back(); fill is column 0
+  AlignedVector<T> val;               // slice_ptr.back(); fill is zero
 
   static SlicedEll from_csr(const Csr<T>& a, index_t slice_height = 32,
                             index_t sort_window = 1,
                             PermuteColumns permute_columns = PermuteColumns::no);
+
+  /// ELLPACK / ELLPACK-R (Sec. II-A, Fig. 2a/b) as SELL-N-1: one slice of
+  /// n_rows rounded up to a multiple of `chunk` (the warp size;
+  /// footnote 2 in the paper), original row order.
+  static SlicedEll ellpack(const Csr<T>& a, index_t chunk = 32);
+
+  /// pJDS (Sec. II-A, Fig. 1) as SELL-br-N: rows fully sorted by
+  /// descending length, padded in blocks of `block_rows` (br).
+  /// PermuteColumns::yes relabels columns too (symmetric permutation, for
+  /// solvers that iterate in the permuted basis; needs a square matrix).
+  static SlicedEll pjds(const Csr<T>& a, index_t block_rows = 32,
+                        PermuteColumns permute_columns = PermuteColumns::yes);
 
   index_t slice_width(index_t s) const {
     return static_cast<index_t>(

@@ -1,5 +1,6 @@
 #include "sparse/spmv_host.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sparse/kernel_record.hpp"
+#include "sparse/sell_tiles.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -73,16 +75,6 @@ std::uint64_t kernel_bytes(const Csr<T>& a) {
 }
 
 template <class T>
-std::uint64_t kernel_bytes(const Ellpack<T>& a, bool with_row_len) {
-  return static_cast<std::uint64_t>(a.val.size()) *
-             (sizeof(T) + sizeof(index_t)) +
-         (with_row_len
-              ? static_cast<std::uint64_t>(a.row_len.size()) * sizeof(index_t)
-              : 0) +
-         vector_stream_bytes<T>(a.n_rows, a.n_cols);
-}
-
-template <class T>
 std::uint64_t kernel_bytes(const Jds<T>& a) {
   return static_cast<std::uint64_t>(a.val.size()) *
              (sizeof(T) + sizeof(index_t)) +
@@ -144,39 +136,44 @@ T csr_row_dot(const T* __restrict val, const index_t* __restrict col,
   return acc;
 }
 
-/// Sliced-ELL slices [begin, end): chunk-column-major accumulation.
-/// Iterates every slice's full width — padding entries carry val = 0 and
-/// col_idx = 0, so they contribute exact zeros and cost no extra memory
-/// traffic (they share cache lines with the real entries either way).
-/// Store == nullptr means plain overwrite, else y = beta*y + alpha*acc.
+/// SELL-C-σ row tiles [begin, end) (sparse/sell_tiles.hpp):
+/// chunk-column-major accumulation. Every row of a tile walks its
+/// slice's full width — padding entries carry val = 0 and col_idx = 0,
+/// so they contribute exact zeros and cost no extra memory traffic (they
+/// share cache lines with the real entries either way). A slice of
+/// C <= kSellRowTile rows is one tile. Fused: y = beta*y + alpha*acc.
 template <class T, bool Fused>
-void sliced_ell_slices(const SlicedEll<T>& a, const T* __restrict x,
-                       T* __restrict y, T alpha, T beta, std::size_t begin,
-                       std::size_t end, std::vector<T>& acc) {
+void sell_tiles(const SlicedEll<T>& a, const T* __restrict x, T* __restrict y,
+                T alpha, T beta, std::size_t begin, std::size_t end) {
   const T* __restrict val = aligned(a.val);
   const index_t* __restrict col = aligned(a.col_idx);
   const std::size_t C = static_cast<std::size_t>(a.slice_height);
-  for (std::size_t s = begin; s < end; ++s) {
-    const offset_t base = a.slice_ptr[s];
+  const auto n_rows = static_cast<std::size_t>(a.n_rows);
+  // A heap strip, as the single-slice loop had: with a stack array GCC
+  // spilled the inner loop's bound to the stack.
+  std::vector<T> strip(std::min(C, detail::kSellRowTile));
+  T* acc = strip.data();
+  detail::for_each_tile(a, begin, end, [&](std::size_t s, std::size_t r0,
+                                           std::size_t rows) {
+    const std::size_t base = static_cast<std::size_t>(a.slice_ptr[s]) + r0;
     const index_t width = a.slice_width(static_cast<index_t>(s));
-    for (std::size_t r = 0; r < C; ++r) acc[r] = T{0};
+    for (std::size_t r = 0; r < rows; ++r) acc[r] = T{0};
     for (index_t j = 0; j < width; ++j) {
       const T* __restrict v = val + base + static_cast<std::size_t>(j) * C;
       const index_t* __restrict c = col + base + static_cast<std::size_t>(j) * C;
 #pragma omp simd
-      for (std::size_t r = 0; r < C; ++r) acc[r] += v[r] * x[c[r]];
+      for (std::size_t r = 0; r < rows; ++r) acc[r] += v[r] * x[c[r]];
     }
-    const std::size_t row0 = s * C;
-    const std::size_t rows =
-        std::min(C, static_cast<std::size_t>(a.n_rows) - row0);
+    const std::size_t row0 = s * C + r0;
+    const std::size_t live = row0 < n_rows ? std::min(rows, n_rows - row0) : 0;
     T* __restrict ys = y + row0;
     if constexpr (Fused) {
-      for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t r = 0; r < live; ++r)
         ys[r] = beta * ys[r] + alpha * acc[r];
     } else {
-      for (std::size_t r = 0; r < rows; ++r) ys[r] = acc[r];
+      for (std::size_t r = 0; r < live; ++r) ys[r] = acc[r];
     }
-  }
+  });
 }
 }  // namespace
 
@@ -219,50 +216,6 @@ template <class T>
 }
 
 template <class T>
-[[gnu::noinline]] void spmv_ellpack_impl(const Ellpack<T>& a,
-                                         std::span<const T> x, std::span<T> y,
-                                         int n_threads) {
-  const auto rows = static_cast<std::size_t>(a.padded_rows);
-  const T* __restrict val = aligned(a.val);
-  const index_t* __restrict col = aligned(a.col_idx);
-  parallel_for(static_cast<std::size_t>(a.n_rows), n_threads,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t i = begin; i < end; ++i) {
-                   T acc{0};
-                   // Plain ELLPACK: iterate the full width, fill included.
-                   for (index_t j = 0; j < a.width; ++j) {
-                     const std::size_t k =
-                         static_cast<std::size_t>(j) * rows + i;
-                     acc += val[k] * x[static_cast<std::size_t>(col[k])];
-                   }
-                   y[i] = acc;
-                 }
-               });
-}
-
-template <class T>
-[[gnu::noinline]] void spmv_ellpack_r_impl(const Ellpack<T>& a,
-                                           std::span<const T> x,
-                                           std::span<T> y, int n_threads) {
-  const auto rows = static_cast<std::size_t>(a.padded_rows);
-  const T* __restrict val = aligned(a.val);
-  const index_t* __restrict col = aligned(a.col_idx);
-  parallel_for(static_cast<std::size_t>(a.n_rows), n_threads,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t i = begin; i < end; ++i) {
-                   T acc{0};
-                   const index_t len = a.row_len[i];
-                   for (index_t j = 0; j < len; ++j) {
-                     const std::size_t k =
-                         static_cast<std::size_t>(j) * rows + i;
-                     acc += val[k] * x[static_cast<std::size_t>(col[k])];
-                   }
-                   y[i] = acc;
-                 }
-               });
-}
-
-template <class T>
 [[gnu::noinline]] void spmv_jds_impl(const Jds<T>& a, std::span<const T> x,
                                      std::span<T> y) {
   for (index_t i = 0; i < a.n_rows; ++i) y[static_cast<std::size_t>(i)] = T{0};
@@ -283,13 +236,10 @@ template <class T>
 [[gnu::noinline]] void spmv_sell_impl(const SlicedEll<T>& a,
                                       std::span<const T> x, std::span<T> y,
                                       int n_threads) {
-  parallel_for_balanced(
-      std::span<const offset_t>(a.slice_ptr), n_threads,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<T> acc(static_cast<std::size_t>(a.slice_height));
-        sliced_ell_slices<T, false>(a, x.data(), y.data(), T{1}, T{0}, begin,
-                                    end, acc);
-      });
+  detail::parallel_for_tiles(a, n_threads, [&](std::size_t begin,
+                                               std::size_t end) {
+    sell_tiles<T, false>(a, x.data(), y.data(), T{1}, T{0}, begin, end);
+  });
 }
 
 template <class T>
@@ -297,13 +247,10 @@ template <class T>
                                             std::span<const T> x,
                                             std::span<T> y, T alpha, T beta,
                                             int n_threads) {
-  parallel_for_balanced(
-      std::span<const offset_t>(a.slice_ptr), n_threads,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<T> acc(static_cast<std::size_t>(a.slice_height));
-        sliced_ell_slices<T, true>(a, x.data(), y.data(), alpha, beta, begin,
-                                   end, acc);
-      });
+  detail::parallel_for_tiles(a, n_threads, [&](std::size_t begin,
+                                               std::size_t end) {
+    sell_tiles<T, true>(a, x.data(), y.data(), alpha, beta, begin, end);
+  });
 }
 
 }  // namespace
@@ -335,32 +282,6 @@ void spmv_axpby(const Csr<T>& a, std::span<const T> x, std::span<T> y,
 }
 
 template <class T>
-void spmv_ellpack(const Ellpack<T>& a, std::span<const T> x, std::span<T> y,
-                  int n_threads) {
-  check_shapes(a.n_rows, a.n_cols, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/ellpack");
-  const std::uint64_t nnz = static_cast<std::uint64_t>(a.val.size());
-  const std::uint64_t bytes = kernel_bytes(a, /*with_row_len=*/false);
-  record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "ellpack", "spmv");
-  if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
-  spmv_ellpack_impl(a, x, y, n_threads);
-}
-
-template <class T>
-void spmv_ellpack_r(const Ellpack<T>& a, std::span<const T> x, std::span<T> y,
-                    int n_threads) {
-  check_shapes(a.n_rows, a.n_cols, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/ellpack_r");
-  const std::uint64_t nnz = static_cast<std::uint64_t>(a.nnz);
-  const std::uint64_t bytes = kernel_bytes(a, /*with_row_len=*/true);
-  record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "ellpack_r", "spmv");
-  if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
-  spmv_ellpack_r_impl(a, x, y, n_threads);
-}
-
-template <class T>
 void spmv(const Jds<T>& a, std::span<const T> x, std::span<T> y) {
   check_shapes(a.n_rows, a.n_cols, x, y);
   SPMVM_TRACE_SPAN_NAMED(span, "kernel/jds");
@@ -374,26 +295,27 @@ void spmv(const Jds<T>& a, std::span<const T> x, std::span<T> y) {
 
 template <class T>
 void spmv(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
-          int n_threads) {
+          int n_threads, const char* format) {
   check_shapes(a.n_rows, a.n_cols, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/sell");
+  SPMVM_TRACE_SPAN_NAMED(span, obs::format_span_name("kernel/", format));
   const std::uint64_t nnz = static_cast<std::uint64_t>(a.val.size());
   const std::uint64_t bytes = kernel_bytes(a);
   record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "sell", "spmv");
+  obs::LedgerScope led(obs::RoofLane::host, format, "spmv");
   if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
   spmv_sell_impl(a, x, y, n_threads);
 }
 
 template <class T>
 void spmv_axpby(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
-                T alpha, T beta, int n_threads) {
+                T alpha, T beta, int n_threads, const char* format) {
   check_shapes(a.n_rows, a.n_cols, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/sell_axpby");
+  SPMVM_TRACE_SPAN_NAMED(span,
+                         obs::format_span_name("kernel/", format, "_axpby"));
   const std::uint64_t nnz = static_cast<std::uint64_t>(a.val.size());
   const std::uint64_t bytes = kernel_bytes(a);
   record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "sell", "spmv_axpby");
+  obs::LedgerScope led(obs::RoofLane::host, format, "spmv_axpby");
   if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
   spmv_sell_axpby_impl(a, x, y, alpha, beta, n_threads);
 }
@@ -402,15 +324,11 @@ void spmv_axpby(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
   template void spmv(const Csr<T>&, std::span<const T>, std::span<T>, int); \
   template void spmv_axpby(const Csr<T>&, std::span<const T>, std::span<T>, \
                            T, T, int);                                      \
-  template void spmv_ellpack(const Ellpack<T>&, std::span<const T>,         \
-                             std::span<T>, int);                            \
-  template void spmv_ellpack_r(const Ellpack<T>&, std::span<const T>,       \
-                               std::span<T>, int);                          \
   template void spmv(const Jds<T>&, std::span<const T>, std::span<T>);      \
   template void spmv(const SlicedEll<T>&, std::span<const T>, std::span<T>, \
-                     int);                                                  \
+                     int, const char*);                                     \
   template void spmv_axpby(const SlicedEll<T>&, std::span<const T>,         \
-                           std::span<T>, T, T, int)
+                           std::span<T>, T, T, int, const char*)
 
 SPMVM_INSTANTIATE_HOST_KERNELS(float);
 SPMVM_INSTANTIATE_HOST_KERNELS(double);

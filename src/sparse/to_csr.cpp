@@ -22,22 +22,6 @@ Csr<T> unpermute(const Csr<T>& p, const Permutation& perm,
 }  // namespace
 
 template <class T>
-Csr<T> to_csr(const Ellpack<T>& m) {
-  Coo<T> coo(m.n_rows, m.n_cols);
-  coo.reserve(m.nnz);
-  for (index_t i = 0; i < m.n_rows; ++i)
-    for (index_t j = 0; j < m.row_len[static_cast<std::size_t>(i)]; ++j) {
-      const std::size_t k = static_cast<std::size_t>(j) *
-                                static_cast<std::size_t>(m.padded_rows) +
-                            static_cast<std::size_t>(i);
-      coo.add(i, m.col_idx[k], m.val[k]);
-    }
-  auto out = Csr<T>::from_coo(std::move(coo));
-  SPMVM_REQUIRE(out.nnz() == m.nnz, "lost entries in ELLPACK round trip");
-  return out;
-}
-
-template <class T>
 Csr<T> to_csr(const Jds<T>& m, PermuteColumns columns_were_permuted) {
   Coo<T> coo(m.n_rows, m.n_cols);
   coo.reserve(m.nnz);
@@ -53,7 +37,7 @@ Csr<T> to_csr(const Jds<T>& m, PermuteColumns columns_were_permuted) {
 }
 
 template <class T>
-Csr<T> to_csr(const SlicedEll<T>& m, PermuteColumns columns_were_permuted) {
+Csr<T> to_csr(const SlicedEll<T>& m) {
   Coo<T> coo(m.n_rows, m.n_cols);
   coo.reserve(m.nnz);
   for (index_t i = 0; i < m.n_rows; ++i) {
@@ -66,21 +50,6 @@ Csr<T> to_csr(const SlicedEll<T>& m, PermuteColumns columns_were_permuted) {
       coo.add(i, m.col_idx[k], m.val[k]);
     }
   }
-  return unpermute(Csr<T>::from_coo(std::move(coo)), m.perm,
-                   columns_were_permuted);
-}
-
-template <class T>
-Csr<T> to_csr(const Pjds<T>& m) {
-  Coo<T> coo(m.n_rows, m.n_cols);
-  coo.reserve(m.nnz);
-  for (index_t i = 0; i < m.n_rows; ++i)
-    for (index_t j = 0; j < m.row_len[static_cast<std::size_t>(i)]; ++j) {
-      const std::size_t k = static_cast<std::size_t>(
-          m.col_start[static_cast<std::size_t>(j)] +
-          static_cast<offset_t>(i));
-      coo.add(i, m.col_idx[k], m.val[k]);
-    }
   return unpermute(Csr<T>::from_coo(std::move(coo)), m.perm,
                    m.columns_permuted ? PermuteColumns::yes
                                       : PermuteColumns::no);
@@ -115,10 +84,8 @@ Csr<T> to_csr(const Bellpack<T>& m) {
 }
 
 #define SPMVM_INSTANTIATE_TO_CSR(T)                            \
-  template Csr<T> to_csr(const Ellpack<T>&);                   \
   template Csr<T> to_csr(const Jds<T>&, PermuteColumns);       \
-  template Csr<T> to_csr(const SlicedEll<T>&, PermuteColumns); \
-  template Csr<T> to_csr(const Pjds<T>&);                      \
+  template Csr<T> to_csr(const SlicedEll<T>&);                 \
   template Csr<T> to_csr(const Bellpack<T>&)
 
 SPMVM_INSTANTIATE_TO_CSR(float);

@@ -6,40 +6,29 @@
 // repartitioning, direct solvers).
 #pragma once
 
-#include "sparse/pjds.hpp"
 #include "sparse/bellpack.hpp"  // comparator formats
 #include "sparse/csr.hpp"
-#include "sparse/ellpack.hpp"
 #include "sparse/jds.hpp"
 #include "sparse/sliced_ell.hpp"
 
 namespace spmvm {
-
-/// Recover the original matrix (explicit zeros in the fill are dropped).
-template <class T>
-Csr<T> to_csr(const Ellpack<T>& m);
 
 /// Recover the original matrix, undoing the row (and, if applied,
 /// column) permutation.
 template <class T>
 Csr<T> to_csr(const Jds<T>& m, PermuteColumns columns_were_permuted);
 
+/// Any SELL-C-σ preset: the padding is dropped and the permutation undone
+/// (columns too when the stored columns_permuted flag says so).
 template <class T>
-Csr<T> to_csr(const SlicedEll<T>& m, PermuteColumns columns_were_permuted);
-
-/// Recover the original matrix from pJDS (the permutation handling is
-/// read from the stored columns_permuted flag).
-template <class T>
-Csr<T> to_csr(const Pjds<T>& m);
+Csr<T> to_csr(const SlicedEll<T>& m);
 
 template <class T>
 Csr<T> to_csr(const Bellpack<T>& m);
 
 #define SPMVM_EXTERN_TO_CSR(T)                                        \
-  extern template Csr<T> to_csr(const Ellpack<T>&);                   \
   extern template Csr<T> to_csr(const Jds<T>&, PermuteColumns);       \
-  extern template Csr<T> to_csr(const SlicedEll<T>&, PermuteColumns); \
-  extern template Csr<T> to_csr(const Pjds<T>&);                      \
+  extern template Csr<T> to_csr(const SlicedEll<T>&);                 \
   extern template Csr<T> to_csr(const Bellpack<T>&)
 
 SPMVM_EXTERN_TO_CSR(float);

@@ -2,15 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "matgen/generators.hpp"
-#include "test_helpers.hpp"
+#include <memory>
+
 #include "util/error.hpp"
 
 namespace spmvm::gpusim {
 namespace {
-
-using spmvm::testing::random_csr;
-using spmvm::testing::random_vector;
 
 std::shared_ptr<DeviceRuntime> fermi() {
   return std::make_shared<DeviceRuntime>(DeviceSpec::tesla_c2070());
@@ -48,85 +45,6 @@ TEST(DeviceRuntime, ClockAdvancesWithTransfersAndLaunches) {
   dev->launch(k);
   EXPECT_NEAR(dev->elapsed_seconds(), after_transfer + 1e-3, 1e-12);
   EXPECT_NEAR(dev->kernel_seconds(), 1e-3, 1e-12);
-}
-
-TEST(DeviceSpmv, NumericsMatchReferenceForEveryFormat) {
-  const auto a = random_csr<double>(150, 150, 0, 12, 1);
-  const auto x = random_vector<double>(150, 2);
-  const auto ref = spmvm::testing::reference_spmv(a, x);
-  for (const auto kind :
-       {FormatKind::csr_scalar, FormatKind::csr_vector, FormatKind::ellpack,
-        FormatKind::ellpack_r, FormatKind::sliced_ell, FormatKind::pjds}) {
-    SCOPED_TRACE(to_string(kind));
-    auto dev = fermi();
-    DeviceSpmv<double> op(dev, a, kind);
-    std::vector<double> y(150);
-    op.apply(x, y);
-    spmvm::testing::expect_vectors_near<double>(ref, y, 1e-12);
-  }
-}
-
-TEST(DeviceSpmv, MatrixUploadChargedOnce) {
-  const auto a = random_csr<double>(300, 300, 2, 10, 3);
-  auto dev = fermi();
-  DeviceSpmv<double> op(dev, a, FormatKind::pjds);
-  const double after_upload = dev->elapsed_seconds();
-  EXPECT_GT(after_upload, 0.0);
-
-  const auto x = random_vector<double>(300, 4);
-  std::vector<double> y(300);
-  op.apply(x, y);
-  op.apply(x, y);
-  // Two applies: 2 kernels + 4 vector transfers, no matrix re-upload.
-  const double per_apply =
-      (dev->elapsed_seconds() - after_upload) / 2.0;
-  EXPECT_NEAR(per_apply, op.last_kernel_seconds() + op.last_transfer_seconds(),
-              1e-12);
-}
-
-TEST(DeviceSpmv, ResidentVectorsSkipPcie) {
-  const auto a = random_csr<double>(400, 400, 4, 12, 5);
-  auto dev = fermi();
-  DeviceSpmv<double> op(dev, a, FormatKind::ellpack_r);
-  const auto x = random_vector<double>(400, 6);
-  std::vector<double> y(400);
-  op.apply(x, y, /*vectors_resident=*/true);
-  EXPECT_DOUBLE_EQ(op.last_transfer_seconds(), 0.0);
-  op.apply(x, y, /*vectors_resident=*/false);
-  EXPECT_GT(op.last_transfer_seconds(), 0.0);
-}
-
-TEST(DeviceSpmv, Dlr2FitsScaledC2050OnlyAsPjds) {
-  // The paper's capacity example at 1/32 scale with a 1/32-size card.
-  const auto a = make_dlr2<double>([] {
-    GenConfig c;
-    c.scale = 32;
-    return c;
-  }());
-  DeviceSpec small = DeviceSpec::tesla_c2050();
-  small.dram_bytes /= 32;
-  auto dev = std::make_shared<DeviceRuntime>(small);
-  EXPECT_THROW(DeviceSpmv<double>(dev, a, FormatKind::ellpack_r), Error);
-  EXPECT_EQ(dev->allocated_bytes(), 0u);  // failed alloc leaves no residue
-  EXPECT_NO_THROW(DeviceSpmv<double>(dev, a, FormatKind::pjds));
-}
-
-TEST(DeviceSpmv, DestructorReleasesMemory) {
-  const auto a = random_csr<double>(200, 200, 2, 8, 7);
-  auto dev = fermi();
-  {
-    DeviceSpmv<double> op(dev, a, FormatKind::ellpack_r);
-    EXPECT_GT(dev->allocated_bytes(), 0u);
-  }
-  EXPECT_EQ(dev->allocated_bytes(), 0u);
-}
-
-TEST(DeviceSpmv, RejectsShortVectors) {
-  const auto a = random_csr<double>(50, 50, 1, 4, 8);
-  auto dev = fermi();
-  DeviceSpmv<double> op(dev, a, FormatKind::pjds);
-  std::vector<double> x(10), y(50);
-  EXPECT_THROW(op.apply(x, y), Error);
 }
 
 }  // namespace

@@ -15,10 +15,12 @@
 
 #include "exec/engine.hpp"
 #include "formats/registry.hpp"
+#include "gpusim/device_runtime.hpp"
 #include "matgen/generators.hpp"
 #include "obs/ledger.hpp"
 #include "solver/cg.hpp"
 #include "solver/operator.hpp"
+#include "util/error.hpp"
 
 using namespace spmvm;
 
@@ -51,6 +53,15 @@ std::vector<double> reference(const Csr<double>& a,
     y[static_cast<std::size_t>(i)] = acc;
   }
   return y;
+}
+
+/// The paper's capacity example at 1/32 scale: a C2050 with 1/32 of
+/// its memory.
+exec::EngineOptions small_c2050() {
+  exec::EngineOptions opt;
+  opt.device = gpusim::DeviceSpec::tesla_c2050();
+  opt.device.dram_bytes /= 32;
+  return opt;
 }
 
 /// Bind + one product on `backend`, original basis, deterministic opts.
@@ -211,6 +222,30 @@ TEST(ExecBackends, TransferAccountingAndResidentVectors) {
   resident->apply(std::span<const double>(x), std::span<double>(y));
   EXPECT_EQ(tm.bytes_to_device(), h2d2);
   EXPECT_EQ(tm.bytes_to_host(), d2h2);
+}
+
+TEST(ExecBackends, Dlr2FitsScaledC2050OnlyAsPjds) {
+  GenConfig cfg;
+  cfg.scale = 32;
+  const Csr<double> a = make_dlr2<double>(cfg);
+  exec::Engine<double> eng(small_c2050());
+  const gpusim::DeviceRuntime& dev = *eng.transfers()->device();
+  EXPECT_THROW(eng.bind("gpusim", a, "ellpack_r"), Error);
+  EXPECT_EQ(dev.allocated_bytes(), 0u);  // failed bind leaves no residue
+  EXPECT_NO_THROW(eng.bind("gpusim", a, "pjds"));
+}
+
+TEST(ExecBackends, DestroyingABoundPlanFreesItsImage) {
+  const Csr<double> a = test_matrix();
+  exec::Engine<double> eng(small_c2050());
+  const gpusim::DeviceRuntime& dev = *eng.transfers()->device();
+  const auto plan = formats::registry<double>().build("pjds", a);
+  {
+    const auto bound = eng.bind_plan("gpusim", plan);
+    EXPECT_EQ(dev.allocated_bytes(),
+              plan->footprint().total_bytes(sizeof(double)));
+  }
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
 }
 
 TEST(ExecBackends, AutoSelectionIsDeterministicAndBindable) {

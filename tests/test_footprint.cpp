@@ -17,17 +17,20 @@ TEST(Footprint, CsrIsMinimal) {
 
 TEST(Footprint, EllpackCountsFill) {
   const auto a = testing::random_csr<double>(100, 100, 1, 10, 2);
-  const auto e = Ellpack<double>::from_csr(a, 32);
+  const auto e = SlicedEll<double>::ellpack(a, 32);
   const auto f = footprint(e, true);
   EXPECT_EQ(f.stored_entries, e.stored_entries());
   EXPECT_GE(f.overhead_vs_minimum(), 0.0);
-  // Without rowmax[] the aux bytes vanish (plain ELLPACK).
-  EXPECT_EQ(footprint(e, false).aux_bytes, 0u);
+  // Without rowmax[] only the one slice's two offsets remain (plain
+  // ELLPACK).
+  EXPECT_EQ(footprint(e, false).aux_bytes, 2 * sizeof(offset_t));
+  EXPECT_EQ(f.aux_bytes - footprint(e, false).aux_bytes,
+            static_cast<std::size_t>(e.padded_rows) * sizeof(index_t));
 }
 
 TEST(Footprint, TotalBytesScaleWithScalarSize) {
   const auto a = testing::random_csr<double>(64, 64, 2, 8, 3);
-  const auto p = Pjds<double>::from_csr(a);
+  const auto p = SlicedEll<double>::pjds(a);
   const auto f = footprint(p);
   const auto sp = f.total_bytes(4);
   const auto dp = f.total_bytes(8);
@@ -39,10 +42,10 @@ TEST(Footprint, DataReductionOrderingByRowSpread) {
   // pJDS-vs-ELLPACK reduction than a near-constant one (Table I logic).
   const auto wide = testing::random_csr<double>(512, 512, 1, 64, 4);
   const auto narrow = testing::random_csr<double>(512, 512, 60, 64, 5);
-  const auto rw = data_reduction_percent(Pjds<double>::from_csr(wide),
-                                         Ellpack<double>::from_csr(wide, 32));
-  const auto rn = data_reduction_percent(Pjds<double>::from_csr(narrow),
-                                         Ellpack<double>::from_csr(narrow, 32));
+  const auto rw = data_reduction_percent(SlicedEll<double>::pjds(wide),
+                                         SlicedEll<double>::ellpack(wide, 32));
+  const auto rn = data_reduction_percent(SlicedEll<double>::pjds(narrow),
+                                         SlicedEll<double>::ellpack(narrow, 32));
   EXPECT_GT(rw, rn);
   EXPECT_GT(rw, 20.0);
   EXPECT_LT(rn, 10.0);
@@ -54,10 +57,10 @@ TEST(Footprint, DataReductionScaleInvariant) {
   // nearly constant (justifies the scaled-down benchmark matrices).
   const auto small = testing::random_csr<double>(512, 512, 1, 32, 6);
   const auto large = testing::random_csr<double>(2048, 2048, 1, 32, 7);
-  const auto rs = data_reduction_percent(Pjds<double>::from_csr(small),
-                                         Ellpack<double>::from_csr(small, 32));
-  const auto rl = data_reduction_percent(Pjds<double>::from_csr(large),
-                                         Ellpack<double>::from_csr(large, 32));
+  const auto rs = data_reduction_percent(SlicedEll<double>::pjds(small),
+                                         SlicedEll<double>::ellpack(small, 32));
+  const auto rl = data_reduction_percent(SlicedEll<double>::pjds(large),
+                                         SlicedEll<double>::ellpack(large, 32));
   EXPECT_NEAR(rs, rl, 5.0);
 }
 
@@ -66,8 +69,8 @@ TEST(Footprint, PjdsOverheadTiny) {
   // test matrices (br = 32). Random matrices are less favorable, but the
   // overhead must still be far below ELLPACK's.
   const auto a = testing::random_csr<double>(1024, 1024, 1, 64, 8);
-  const auto p = Pjds<double>::from_csr(a);
-  const auto e = Ellpack<double>::from_csr(a, 32);
+  const auto p = SlicedEll<double>::pjds(a);
+  const auto e = SlicedEll<double>::ellpack(a, 32);
   EXPECT_LT(footprint(p).overhead_vs_minimum(),
             0.2 * footprint(e, true).overhead_vs_minimum());
 }
@@ -80,7 +83,7 @@ TEST(Footprint, JdsHasZeroFill) {
 
 TEST(Footprint, SlicedEllBetweenJdsAndEllpack) {
   const auto a = testing::random_csr<double>(256, 256, 0, 24, 10);
-  const auto e = footprint(Ellpack<double>::from_csr(a, 32), true);
+  const auto e = footprint(SlicedEll<double>::ellpack(a, 32), true);
   const auto s = footprint(SlicedEll<double>::from_csr(a, 32));
   const auto j = footprint(Jds<double>::from_csr(a));
   EXPECT_LE(s.stored_entries, e.stored_entries);
@@ -90,8 +93,8 @@ TEST(Footprint, SlicedEllBetweenJdsAndEllpack) {
 TEST(Footprint, MismatchedMatricesRejected) {
   const auto a = testing::random_csr<double>(64, 64, 2, 2, 11);
   const auto b = testing::random_csr<double>(64, 64, 3, 3, 12);
-  EXPECT_THROW(data_reduction_percent(Pjds<double>::from_csr(a),
-                                      Ellpack<double>::from_csr(b, 32)),
+  EXPECT_THROW(data_reduction_percent(SlicedEll<double>::pjds(a),
+                                      SlicedEll<double>::ellpack(b, 32)),
                Error);
 }
 

@@ -1,5 +1,5 @@
-// Tests for the simulator extensions: the CSR-vector kernel and the
-// C1060 texture-cache handling of pJDS's col_start[].
+// Tests for the simulator extensions: the CSR-vector kernel,
+// simulate_format and device_bytes.
 #include <gtest/gtest.h>
 
 #include "gpusim/gpu_spmv.hpp"
@@ -22,8 +22,8 @@ TEST(CsrVector, WastefulOnShortRows) {
   // One warp per 4-entry row: 28 idle lanes plus the reduction steps.
   const auto a = spmvm::testing::random_csr<double>(20000, 20000, 4, 4, 2);
   const auto vec = simulate_csr_vector(kFermi, a);
-  const auto er = simulate(kFermi, Ellpack<double>::from_csr(a, 32),
-                           EllpackKernel::r);
+  const auto er = simulate(kFermi, SlicedEll<double>::ellpack(a, 32),
+                           "ellpack_r");
   EXPECT_LT(vec.gflops, er.gflops);
   EXPECT_LT(vec.stats.warp_efficiency(), 0.25);
 }
@@ -37,33 +37,9 @@ TEST(CsrVector, UsefulWorkEqualsNnz) {
 TEST(CsrVector, CompetitiveWithEllpackROnUniformLongRows) {
   const auto a = make_random_uniform<double>(4096, 128, 4);
   const auto vec = simulate_csr_vector(kFermi, a);
-  const auto er = simulate(kFermi, Ellpack<double>::from_csr(a, 32),
-                           EllpackKernel::r);
+  const auto er = simulate(kFermi, SlicedEll<double>::ellpack(a, 32),
+                           "ellpack_r");
   EXPECT_GT(vec.gflops, 0.5 * er.gflops);
-}
-
-TEST(ColStartTexture, IrrelevantOnFermi) {
-  // The L2 covers col_start[] on GF100: the texture flag changes nothing.
-  const auto a = spmvm::testing::random_csr<double>(1024, 1024, 1, 30, 5);
-  const auto p = Pjds<double>::from_csr(a);
-  SimOptions with_tex, without_tex;
-  without_tex.col_start_in_texture = false;
-  EXPECT_DOUBLE_EQ(simulate(kFermi, p, with_tex).seconds,
-                   simulate(kFermi, p, without_tex).seconds);
-}
-
-TEST(ColStartTexture, RequiredOnC1060) {
-  // Paper: "Here it is also necessary to map the array holding the
-  // column starting offsets (col_start[]) to the texture cache."
-  const auto dev = DeviceSpec::tesla_c1060();
-  const auto a = spmvm::testing::random_csr<double>(4096, 4096, 1, 24, 6);
-  const auto p = Pjds<double>::from_csr(a);
-  SimOptions with_tex, without_tex;
-  without_tex.col_start_in_texture = false;
-  const auto mapped = simulate(dev, p, with_tex);
-  const auto unmapped = simulate(dev, p, without_tex);
-  EXPECT_GT(unmapped.stats.dram_bytes(), mapped.stats.dram_bytes());
-  EXPECT_LE(unmapped.gflops, mapped.gflops);
 }
 
 TEST(FormatKind, CsrVectorDispatches) {

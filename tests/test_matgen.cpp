@@ -21,8 +21,8 @@ GenConfig cfg(double scale) {
 }
 
 double reduction(const Csr<double>& a) {
-  return data_reduction_percent(Pjds<double>::from_csr(a),
-                                Ellpack<double>::from_csr(a, 32));
+  return data_reduction_percent(SlicedEll<double>::pjds(a),
+                                SlicedEll<double>::ellpack(a, 32));
 }
 
 TEST(Hmep, Fingerprint) {

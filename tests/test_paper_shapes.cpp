@@ -18,8 +18,8 @@ using gpusim::FormatKind;
 using gpusim::SimOptions;
 
 double reduction(const Csr<double>& a) {
-  return data_reduction_percent(Pjds<double>::from_csr(a),
-                                Ellpack<double>::from_csr(a, 32));
+  return data_reduction_percent(SlicedEll<double>::pjds(a),
+                                SlicedEll<double>::ellpack(a, 32));
 }
 
 /// Simulated GF/s with the L2 scaled like the matrix (see DESIGN.md).
@@ -95,7 +95,7 @@ TEST(PaperShapes, PjdsOverheadVsMinimumIsTiny) {
   // test matrices; require well under 1 % for the stand-ins.
   for (const char* name : {"DLR1", "DLR2", "HMEp", "sAMG"}) {
     const auto a = make_named(name, 128).matrix;
-    const auto p = Pjds<double>::from_csr(a);
+    const auto p = SlicedEll<double>::pjds(a);
     EXPECT_LT(footprint(p).overhead_vs_minimum(), 0.01) << name;
   }
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sparse/ellpack.hpp"
 #include "sparse/spmv_host.hpp"
 #include "test_helpers.hpp"
 
@@ -20,7 +19,7 @@ TEST(SlicedEll, SliceGeometry) {
 
 TEST(SlicedEll, StoresLessThanEllpack) {
   const auto a = testing::random_csr<double>(256, 256, 1, 32, 2);
-  const auto e = Ellpack<double>::from_csr(a, 32);
+  const auto e = SlicedEll<double>::ellpack(a, 32);
   const auto s = SlicedEll<double>::from_csr(a, 32);
   EXPECT_LE(s.stored_entries(), e.stored_entries());
 }

@@ -53,9 +53,7 @@ TEST_P(SpmmvSweep, PjdsBlockMatchesCsrBlock) {
   const auto& [k, threads] = GetParam();
   const index_t n = 96;
   const auto a = random_csr<double>(n, n, 1, 8, 3);
-  PjdsOptions opt;
-  opt.permute_columns = PermuteColumns::no;
-  const auto p = Pjds<double>::from_csr(a, opt);
+  const auto p = SlicedEll<double>::pjds(a, 32, PermuteColumns::no);
 
   const auto xblk = random_vector<double>(n * k, 4);
   std::vector<double> y_csr(static_cast<std::size_t>(n) * k);
@@ -283,7 +281,7 @@ TEST(Spmmv, RejectsNonPositiveKForEveryFormat) {
   // The k-interleaved stride contract (x[i*k + v]) must be asserted
   // before any indexing: k <= 0 throws instead of aliasing rows.
   const auto a = random_csr<double>(12, 12, 1, 3, 8);
-  const auto p = Pjds<double>::from_csr(a);
+  const auto p = SlicedEll<double>::pjds(a);
   const auto s = SlicedEll<double>::from_csr(a, 4, 8, PermuteColumns::yes);
   std::vector<double> x(24), y(24);
   for (int k : {0, -1, -7}) {

@@ -39,14 +39,11 @@ TEST_P(SpmvAllFormats, EveryFormatMatchesReference) {
     testing::expect_vectors_near<double>(ref, y, 1e-12);
   }
   {
-    const auto e = Ellpack<double>::from_csr(a, 32);
+    // ELLPACK and ELLPACK-R share this image and host kernel.
+    const auto e = SlicedEll<double>::ellpack(a, 32);
     std::vector<double> y(n);
-    spmv_ellpack(e, std::span<const double>(x), std::span<double>(y), threads);
+    spmv(e, std::span<const double>(x), std::span<double>(y), threads);
     testing::expect_vectors_near<double>(ref, y, 1e-12);
-    std::vector<double> yr(n);
-    spmv_ellpack_r(e, std::span<const double>(x), std::span<double>(yr),
-                   threads);
-    testing::expect_vectors_near<double>(ref, yr, 1e-12);
   }
   if (shape.n_rows == shape.n_cols) {
     const auto j = Jds<double>::from_csr(a, PermuteColumns::yes);
@@ -142,9 +139,9 @@ TEST(SpmvFloat, SinglePrecisionWithinTolerance) {
   const auto a = testing::random_csr<float>(80, 80, 1, 10, 15);
   const auto x = testing::random_vector<float>(80, 16);
   const auto ref = testing::reference_spmv(a, x);
-  const auto e = Ellpack<float>::from_csr(a, 32);
+  const auto e = SlicedEll<float>::ellpack(a, 32);
   std::vector<float> y(80);
-  spmv_ellpack_r(e, std::span<const float>(x), std::span<float>(y));
+  spmv(e, std::span<const float>(x), std::span<float>(y));
   testing::expect_vectors_near<float>(ref, y, 1e-5);
 }
 

@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "sparse/pjds.hpp"
-#include "sparse/pjds_spmv.hpp"
 #include "matgen/generators.hpp"
 #include "sparse/sliced_ell.hpp"
 #include "sparse/spmv_host.hpp"
@@ -216,9 +214,7 @@ TEST_F(SpmvDeterminism, SlicedEllBitwiseAcrossThreadCounts) {
 
 TEST_F(SpmvDeterminism, PjdsBitwiseAcrossThreadCounts) {
   const auto a = make_powerlaw<double>(2000, 8.0, 300, 0xCAFE);
-  PjdsOptions opt;
-  opt.permute_columns = PermuteColumns::no;
-  const auto p = Pjds<double>::from_csr(a, opt);
+  const auto p = SlicedEll<double>::pjds(a, 32, PermuteColumns::no);
   std::vector<double> x(static_cast<std::size_t>(a.n_cols));
   for (std::size_t i = 0; i < x.size(); ++i)
     x[i] = 0.5 + static_cast<double>(i % 11) * 0.0625;

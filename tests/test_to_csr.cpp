@@ -30,7 +30,7 @@ class RoundTrip : public ::testing::TestWithParam<Shape> {
 
 TEST_P(RoundTrip, Ellpack) {
   const auto a = matrix();
-  EXPECT_TRUE(structurally_equal(a, to_csr(Ellpack<double>::from_csr(a, 32))));
+  EXPECT_TRUE(structurally_equal(a, to_csr(SlicedEll<double>::ellpack(a, 32))));
 }
 
 TEST_P(RoundTrip, JdsRowOnly) {
@@ -50,30 +50,28 @@ TEST_P(RoundTrip, JdsSymmetric) {
 TEST_P(RoundTrip, SlicedEllUnsorted) {
   const auto a = matrix();
   const auto s = SlicedEll<double>::from_csr(a, 16);
-  EXPECT_TRUE(structurally_equal(a, to_csr(s, PermuteColumns::no)));
+  EXPECT_TRUE(structurally_equal(a, to_csr(s)));
 }
 
 TEST_P(RoundTrip, SlicedEllSorted) {
   const auto a = matrix();
   const auto s = SlicedEll<double>::from_csr(a, 16, a.n_rows,
                                              PermuteColumns::no);
-  EXPECT_TRUE(structurally_equal(a, to_csr(s, PermuteColumns::no)));
+  EXPECT_TRUE(structurally_equal(a, to_csr(s)));
 }
 
 TEST_P(RoundTrip, PjdsRowOnly) {
   const auto a = matrix();
-  PjdsOptions opt;
-  opt.permute_columns = PermuteColumns::no;
-  EXPECT_TRUE(structurally_equal(a, to_csr(Pjds<double>::from_csr(a, opt))));
+  EXPECT_TRUE(structurally_equal(
+      a, to_csr(SlicedEll<double>::pjds(a, 32, PermuteColumns::no))));
 }
 
 TEST_P(RoundTrip, PjdsSymmetric) {
   const auto& p = GetParam();
   if (p.rows != p.cols) GTEST_SKIP() << "symmetric permutation needs square";
   const auto a = matrix();
-  PjdsOptions opt;
-  opt.permute_columns = PermuteColumns::yes;
-  EXPECT_TRUE(structurally_equal(a, to_csr(Pjds<double>::from_csr(a, opt))));
+  EXPECT_TRUE(structurally_equal(
+      a, to_csr(SlicedEll<double>::pjds(a, 32, PermuteColumns::yes))));
 }
 
 TEST_P(RoundTrip, Bellpack) {
@@ -100,9 +98,9 @@ TEST(RoundTripPaper, AllFiveMatrices) {
   for (const char* name : {"DLR1", "DLR2", "HMEp", "sAMG", "UHBR"}) {
     const auto a = make_named(name, 512).matrix;
     SCOPED_TRACE(name);
-    EXPECT_TRUE(structurally_equal(a, to_csr(Pjds<double>::from_csr(a))));
+    EXPECT_TRUE(structurally_equal(a, to_csr(SlicedEll<double>::pjds(a))));
     EXPECT_TRUE(
-        structurally_equal(a, to_csr(Ellpack<double>::from_csr(a, 32))));
+        structurally_equal(a, to_csr(SlicedEll<double>::ellpack(a, 32))));
   }
 }
 
