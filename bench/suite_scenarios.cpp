@@ -13,6 +13,7 @@
 #include "dist/comm_plan.hpp"
 #include "exec/dispatch.hpp"
 #include "exec/engine.hpp"
+#include "formats/auto_select.hpp"
 #include "formats/registry.hpp"
 #include "matgen/suite.hpp"
 #include "obs/attribution.hpp"
@@ -149,6 +150,33 @@ void run_auto_format(const SuiteConfig& cfg, obs::BenchReport& report) {
          {"model_vs_measured_pct", gap_pct}}));
     report.metadata.emplace_back(std::string("auto.") + it.name + ".format",
                                  c.chosen);
+  }
+}
+
+// ---- auto_model: the model half of `auto`, gated in CI ---------------------
+
+/// `auto` with the probe off: α, the Eq. 1 balance of every candidate
+/// and the model's pick, all deterministic. The sample is the pick's
+/// Eq. 1 time for one product on the Tesla C2070 (ECC on), so a change
+/// to any footprint formula or to α shows in the gate.
+void run_auto_model(const SuiteConfig& cfg, obs::BenchReport& report) {
+  const double bw = gpusim::DeviceSpec::tesla_c2070().bandwidth_bytes(true);
+  for (const DevItem& it : kDevItems) {
+    const double scale = cfg.smoke ? it.smoke_scale : it.scale;
+    const auto a = make_named(it.name, scale).matrix;
+    formats::PlanOptions opt;
+    opt.probe = false;
+    const formats::AutoChoice c =
+        formats::choose_format(formats::registry<double>(), a, opt);
+    std::vector<std::pair<std::string, double>> counters = {
+        {"alpha_measured", c.alpha_measured},
+        {"model_index", static_cast<double>(c.model_index)}};
+    for (const formats::AutoCandidate& k : c.candidates)
+      counters.emplace_back("balance." + k.name, k.balance);
+    const double sample[] = {c.candidates[c.model_index].balance * 2.0 *
+                             static_cast<double>(a.nnz()) / bw};
+    report.entries.push_back(obs::summarize_samples(
+        std::string("auto_model/") + it.name, sample, std::move(counters)));
   }
 }
 
@@ -543,6 +571,9 @@ constexpr Scenario kScenarios[] = {
     {"auto_format",
      "the auto plan's format pick vs measured-fastest (DLR1/HMEp/sAMG)",
      false, run_auto_format},
+    {"auto_model",
+     "the auto plan's model ranking: alpha, balances, pick (DLR1/HMEp/sAMG)",
+     true, run_auto_model},
     {"model_deviation",
      "Eq. 1 at measured alpha vs the GPU simulator (DLR1/HMEp/sAMG)", true,
      run_model_deviation},

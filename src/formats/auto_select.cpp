@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -59,54 +61,65 @@ class AutoPlan final : public FormatPlan<T> {
   const FormatInfo* info_;
 };
 
-/// α measured once per matrix: the simulator's L2 model walked with a
-/// reference kernel. ELLPACK-R is the designated reference (the kernel
-/// Eq. 1 was written for); any sim-capable candidate serves as fallback
-/// so a trimmed-down registry still works.
+/// The candidate whose simulated kernel measures α: ELLPACK-R is the
+/// designated reference (the kernel Eq. 1 was written for); the first
+/// sim-capable candidate serves as fallback so a trimmed-down registry
+/// still works.
 template <class T>
-double measure_alpha(
-    const std::vector<std::shared_ptr<const FormatPlan<T>>>& plans) {
-  const gpusim::DeviceSpec dev = gpusim::DeviceSpec::tesla_c2070();
-  const FormatPlan<T>* fallback = nullptr;
-  for (const auto& p : plans) {
-    if (!p->info().has_sim_kernel) continue;
-    if (std::string_view(p->info().name) == "ellpack_r")
-      return p->simulate(dev)->stats.measured_alpha(sizeof(T));
-    if (fallback == nullptr) fallback = p.get();
+std::optional<std::size_t> alpha_reference(
+    const std::vector<const typename FormatRegistry<T>::Entry*>& entries) {
+  std::optional<std::size_t> fallback;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (!entries[i]->info.has_sim_kernel) continue;
+    if (std::string_view(entries[i]->info.name) == "ellpack_r") return i;
+    if (!fallback) fallback = i;
   }
-  if (fallback != nullptr)
-    return fallback->simulate(dev)->stats.measured_alpha(sizeof(T));
-  return 1.0;  // worst case of Eq. 1 when nothing can be simulated
+  return fallback;
 }
 
 }  // namespace
 
 template <class T>
-AutoChoice choose_format(
-    const FormatRegistry<T>& reg, const Csr<T>& a, const PlanOptions& opts,
-    std::vector<std::shared_ptr<const FormatPlan<T>>>* built) {
+AutoChoice choose_format(const FormatRegistry<T>& reg, const Csr<T>& a,
+                         const PlanOptions& opts,
+                         std::shared_ptr<const FormatPlan<T>>* chosen) {
   SPMVM_REQUIRE(a.nnz() > 0, "auto format selection needs a non-empty matrix");
 
-  std::vector<std::shared_ptr<const FormatPlan<T>>> plans;
+  std::vector<const typename FormatRegistry<T>::Entry*> entries;
+  std::vector<Footprint> sizes;
   AutoChoice choice;
   for (const auto& e : reg.entries()) {
-    if (std::string_view(e.info.name) == "auto") continue;
-    plans.push_back(e.builder(a, opts, e.info));
+    if (e.size == nullptr) continue;
+    entries.push_back(&e);
+    sizes.push_back(e.size(a, opts));
     choice.candidates.push_back({e.info.name, 0.0, -1.0});
   }
-  SPMVM_REQUIRE(!plans.empty(), "format registry has no concrete formats");
+  SPMVM_REQUIRE(!entries.empty(), "format registry has no concrete formats");
 
-  choice.alpha_measured = measure_alpha(plans);
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    const Footprint f = plans[i]->footprint();
+  // Index-aligned with `entries`; only the α reference and the probed
+  // candidates are ever built.
+  std::vector<std::shared_ptr<const FormatPlan<T>>> plans(entries.size());
+  const auto build = [&](std::size_t i) -> const FormatPlan<T>& {
+    if (!plans[i]) plans[i] = entries[i]->builder(a, opts, entries[i]->info);
+    return *plans[i];
+  };
+
+  // α once per matrix, from the simulator's L2 model walked with the
+  // reference kernel; 1 is Eq. 1's worst case when nothing can simulate.
+  const std::optional<std::size_t> ref = alpha_reference<T>(entries);
+  choice.alpha_measured =
+      ref ? build(*ref)
+                .simulate(gpusim::DeviceSpec::tesla_c2070())
+                ->stats.measured_alpha(sizeof(T))
+          : 1.0;
+  for (std::size_t i = 0; i < entries.size(); ++i)
     choice.candidates[i].balance = perfmodel::code_balance_stored(
-        f.total_bytes(sizeof(T)), static_cast<std::size_t>(a.nnz()),
+        sizes[i].total_bytes(sizeof(T)), static_cast<std::size_t>(a.nnz()),
         static_cast<std::size_t>(a.n_rows), sizeof(T), choice.alpha_measured);
-  }
 
   // Model ranking; stable sort keeps registry order on exact ties, so
   // the model-only path is fully deterministic.
-  std::vector<std::size_t> order(plans.size());
+  std::vector<std::size_t> order(entries.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](std::size_t l, std::size_t r) {
     return choice.candidates[l].balance < choice.candidates[r].balance;
@@ -114,13 +127,21 @@ AutoChoice choose_format(
   choice.model_index = order.front();
   choice.chosen_index = choice.model_index;
 
-  if (opts.probe) {
-    const std::size_t k =
-        opts.probe_candidates <= 0
+  // The top k are probed; without a probe the model winner alone is
+  // built. The α reference is freed first unless it is one of them.
+  std::size_t k = 1;
+  if (opts.probe)
+    k = opts.probe_candidates <= 0
             ? order.size()
             : std::min<std::size_t>(
                   static_cast<std::size_t>(opts.probe_candidates),
                   order.size());
+  const std::span<const std::size_t> top(order.data(), k);
+  if (ref && std::find(top.begin(), top.end(), *ref) == top.end())
+    plans[*ref].reset();
+  for (const std::size_t i : top) build(i);
+
+  if (opts.probe) {
     std::vector<T> x(static_cast<std::size_t>(a.n_cols), T{1});
     std::vector<T> y(static_cast<std::size_t>(a.n_rows));
     for (std::size_t j = 0; j < k; ++j) {
@@ -143,7 +164,7 @@ AutoChoice choose_format(
   }
 
   choice.chosen = choice.candidates[choice.chosen_index].name;
-  if (built != nullptr) *built = std::move(plans);
+  if (chosen != nullptr) *chosen = std::move(plans[choice.chosen_index]);
   return choice;
 }
 
@@ -152,8 +173,8 @@ std::unique_ptr<FormatPlan<T>> make_auto_plan(const FormatRegistry<T>& reg,
                                               const Csr<T>& a,
                                               const PlanOptions& opts,
                                               const FormatInfo& info) {
-  std::vector<std::shared_ptr<const FormatPlan<T>>> plans;
-  AutoChoice choice = choose_format(reg, a, opts, &plans);
+  std::shared_ptr<const FormatPlan<T>> chosen;
+  AutoChoice choice = choose_format(reg, a, opts, &chosen);
 
   obs::gauge("formats.auto.alpha_measured").set(choice.alpha_measured);
   obs::gauge("formats.auto.chosen_index")
@@ -166,7 +187,6 @@ std::unique_ptr<FormatPlan<T>> make_auto_plan(const FormatRegistry<T>& reg,
       obs::gauge("formats.auto.probe_seconds." + c.name).set(c.probe_seconds);
   }
 
-  auto chosen = plans[choice.chosen_index];
   return std::make_unique<AutoPlan<T>>(std::move(chosen), std::move(choice),
                                        info);
 }
@@ -174,7 +194,7 @@ std::unique_ptr<FormatPlan<T>> make_auto_plan(const FormatRegistry<T>& reg,
 #define SPMVM_INSTANTIATE_AUTO_SELECT(T)                            \
   template AutoChoice choose_format(                                \
       const FormatRegistry<T>&, const Csr<T>&, const PlanOptions&,  \
-      std::vector<std::shared_ptr<const FormatPlan<T>>>*);          \
+      std::shared_ptr<const FormatPlan<T>>*);                       \
   template std::unique_ptr<FormatPlan<T>> make_auto_plan(           \
       const FormatRegistry<T>&, const Csr<T>&, const PlanOptions&,  \
       const FormatInfo&)

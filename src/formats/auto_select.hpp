@@ -2,16 +2,22 @@
 // first-class plan.
 //
 // Policy (see DESIGN.md "Format engine"):
-//   1. Measure α (the Eq. 1 RHS re-load factor) once per matrix with the
-//      kernel simulator's L2 model — α is a property of the matrix'
-//      column structure, not of the storage format.
-//   2. Rank every registered concrete format by the generalized Eq. 1
-//      code balance at that α (perfmodel::code_balance_stored over the
-//      format's real footprint, so zero fill and metadata count).
-//   3. Optionally confirm with a short measured host probe of the top
+//   1. Size every registered concrete format from the CSR with its
+//      registry sizer: the bytes its plan would store, from the
+//      builder's own layout step, without building it.
+//   2. Measure α (the Eq. 1 RHS re-load factor) once per matrix with the
+//      kernel simulator's L2 model on one built reference plan — α is a
+//      property of the matrix' column structure, not of the storage
+//      format.
+//   3. Rank the formats by the generalized Eq. 1 code balance at that α
+//      (perfmodel::code_balance_stored over the sized footprint, so zero
+//      fill and metadata count).
+//   4. Optionally confirm with a short measured host probe of the top
 //      candidates (measure_seconds_stats); the probed minimum wins.
-// With probing disabled the selection is bit-deterministic: the
-// simulator is exact and ties break by registry order.
+// Only the α reference and the probed candidates (the model winner
+// alone without a probe) are built. With probing disabled the selection
+// is bit-deterministic: the simulator is exact and ties break by
+// registry order.
 #pragma once
 
 #include <memory>
@@ -23,14 +29,16 @@ namespace spmvm::formats {
 template <class T>
 class FormatRegistry;
 
-/// Run the selection policy over every concrete (non-auto) registry
-/// entry. When `built` is non-null the constructed candidate plans are
-/// returned through it (index-aligned with AutoChoice::candidates) so
-/// the caller can reuse the winner without rebuilding.
+/// Run the selection policy over every registry entry with a sizer
+/// (AutoChoice::candidates, registry order). Builds the α reference
+/// (`ellpack_r`, else the first sim-capable candidate) and the probed
+/// candidates: the top `probe_candidates` by model balance (every one
+/// when <= 0), or the model winner alone when `probe` is off. When
+/// `chosen` is non-null the winning plan is returned through it.
 template <class T>
-AutoChoice choose_format(
-    const FormatRegistry<T>& reg, const Csr<T>& a, const PlanOptions& opts,
-    std::vector<std::shared_ptr<const FormatPlan<T>>>* built = nullptr);
+AutoChoice choose_format(const FormatRegistry<T>& reg, const Csr<T>& a,
+                         const PlanOptions& opts,
+                         std::shared_ptr<const FormatPlan<T>>* chosen = nullptr);
 
 /// The registry builder behind the "auto" entry: runs choose_format and
 /// wraps the winning plan, recording the choice in obs gauges
@@ -44,7 +52,7 @@ std::unique_ptr<FormatPlan<T>> make_auto_plan(const FormatRegistry<T>& reg,
 #define SPMVM_EXTERN_AUTO_SELECT(T)                                       \
   extern template AutoChoice choose_format(                               \
       const FormatRegistry<T>&, const Csr<T>&, const PlanOptions&,        \
-      std::vector<std::shared_ptr<const FormatPlan<T>>>*);                \
+      std::shared_ptr<const FormatPlan<T>>*);                             \
   extern template std::unique_ptr<FormatPlan<T>> make_auto_plan(          \
       const FormatRegistry<T>&, const Csr<T>&, const PlanOptions&,        \
       const FormatInfo&)

@@ -18,6 +18,12 @@
 //
 // ellpack, ellpack_r, sliced_ell, sell_c_sigma and pjds are presets of
 // one SELL-C-σ storage (sparse/sliced_ell.hpp) with one SlicedEllPlan.
+//
+// Every concrete format also registers a sizer next to its builder: the
+// Footprint the builder's plan would report, computed by the builder's
+// own layout step (row lengths and slice offsets, diagonal count, tile
+// pattern) without storing an entry. `auto` ranks the entries that have
+// one from their sizes and builds only the formats it probes.
 #pragma once
 
 #include <deque>
@@ -37,13 +43,18 @@ class FormatRegistry {
   using Builder = std::unique_ptr<FormatPlan<T>> (*)(const Csr<T>&,
                                                      const PlanOptions&,
                                                      const FormatInfo&);
+  /// Footprint of the plan the builder would return for the same input,
+  /// equal field by field to its footprint().
+  using Sizer = Footprint (*)(const Csr<T>&, const PlanOptions&);
   struct Entry {
     FormatInfo info;
     Builder builder;
+    Sizer size = nullptr;  // nullptr: not an `auto` candidate
   };
 
   /// Register a format under a unique name (throws on duplicates).
-  void register_format(const FormatInfo& info, Builder builder);
+  void register_format(const FormatInfo& info, Builder builder,
+                       Sizer size = nullptr);
 
   /// Registered entry by exact name; nullptr when unknown.
   const Entry* find(std::string_view name) const;

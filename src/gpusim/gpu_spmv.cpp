@@ -1,5 +1,7 @@
 #include "gpusim/gpu_spmv.hpp"
 
+#include <algorithm>
+
 #include "sparse/footprint.hpp"
 #include "util/error.hpp"
 
@@ -60,21 +62,20 @@ std::size_t device_bytes(const Csr<T>& a, FormatKind kind, index_t chunk) {
   const std::size_t vectors =
       (static_cast<std::size_t>(a.n_rows) + static_cast<std::size_t>(a.n_cols)) *
       sizeof(T);
+  // Sized from the layout, as the images simulate_format builds.
   switch (kind) {
     case FormatKind::ellpack:
     case FormatKind::ellpack_r:
-      return footprint(SlicedEll<T>::ellpack(a, chunk),
-                       /*with_row_len=*/kind == FormatKind::ellpack_r)
+      return sliced_ell_size(a, ellpack_slice_height(a.n_rows, chunk), 1,
+                             /*with_row_len=*/kind == FormatKind::ellpack_r)
                  .total_bytes(sizeof(T)) +
              vectors;
     case FormatKind::pjds:
-      return footprint(SlicedEll<T>::pjds(a, chunk, kPjdsColumns))
+      return sliced_ell_size(a, chunk, std::max<index_t>(a.n_rows, 1))
                  .total_bytes(sizeof(T)) +
              vectors;
     case FormatKind::sliced_ell:
-      return footprint(SlicedEll<T>::from_csr(a, chunk)).total_bytes(
-                 sizeof(T)) +
-             vectors;
+      return sliced_ell_size(a, chunk, 1).total_bytes(sizeof(T)) + vectors;
     case FormatKind::csr_scalar:
     case FormatKind::csr_vector:
       return footprint(a).total_bytes(sizeof(T)) + vectors;

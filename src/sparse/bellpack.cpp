@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 
 #include "obs/ledger.hpp"
 #include "obs/trace.hpp"
@@ -14,35 +13,52 @@
 namespace spmvm {
 
 template <class T>
-Bellpack<T> Bellpack<T>::from_csr(const Csr<T>& a, index_t block_r,
-                                  index_t block_c, index_t row_chunk) {
+BellpackLayout bellpack_layout(const Csr<T>& a, index_t block_r,
+                               index_t block_c, index_t row_chunk) {
   SPMVM_REQUIRE(block_r >= 1 && block_c >= 1, "tile dims must be >= 1");
   SPMVM_REQUIRE(row_chunk >= 1, "row chunk must be >= 1");
+  const index_t n_block_rows = (a.n_rows + block_r - 1) / block_r;
+  BellpackLayout t;
+  t.padded_block_rows =
+      ((n_block_rows + row_chunk - 1) / row_chunk) * row_chunk;
+  t.ptr.assign(static_cast<std::size_t>(n_block_rows) + 1, 0);
+  // stamp[J] = the last block row that recorded tile column J.
+  std::vector<index_t> stamp(
+      static_cast<std::size_t>((a.n_cols + block_c - 1) / block_c),
+      index_t{-1});
+  for (index_t I = 0; I < n_block_rows; ++I) {
+    const offset_t k0 = a.row_ptr[static_cast<std::size_t>(I * block_r)];
+    const offset_t k1 = a.row_ptr[static_cast<std::size_t>(
+        std::min<index_t>((I + 1) * block_r, a.n_rows))];
+    const std::size_t first = t.block_col.size();
+    for (offset_t k = k0; k < k1; ++k) {
+      const index_t J = a.col_idx[static_cast<std::size_t>(k)] / block_c;
+      if (stamp[static_cast<std::size_t>(J)] == I) continue;
+      stamp[static_cast<std::size_t>(J)] = I;
+      t.block_col.push_back(J);
+    }
+    t.ptr[static_cast<std::size_t>(I) + 1] =
+        static_cast<offset_t>(t.block_col.size());
+    t.width =
+        std::max(t.width, static_cast<index_t>(t.block_col.size() - first));
+  }
+  return t;
+}
+
+template <class T>
+Bellpack<T> Bellpack<T>::from_csr(const Csr<T>& a, index_t block_r,
+                                  index_t block_c, index_t row_chunk) {
+  // Pass 1: the tile pattern.
+  BellpackLayout layout = bellpack_layout(a, block_r, block_c, row_chunk);
   Bellpack<T> m;
   m.n_rows = a.n_rows;
   m.n_cols = a.n_cols;
   m.block_r = block_r;
   m.block_c = block_c;
   m.n_block_rows = (a.n_rows + block_r - 1) / block_r;
-  m.padded_block_rows =
-      ((m.n_block_rows + row_chunk - 1) / row_chunk) * row_chunk;
+  m.padded_block_rows = layout.padded_block_rows;
   m.nnz = a.nnz();
-
-  // Pass 1: which block columns does each block row touch?
-  std::vector<std::vector<index_t>> tiles(
-      static_cast<std::size_t>(m.n_block_rows));
-  for (index_t I = 0; I < m.n_block_rows; ++I) {
-    auto& list = tiles[static_cast<std::size_t>(I)];
-    const index_t r0 = I * block_r;
-    const index_t r1 = std::min<index_t>(r0 + block_r, a.n_rows);
-    for (index_t i = r0; i < r1; ++i)
-      for (offset_t k = a.row_ptr[static_cast<std::size_t>(i)];
-           k < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
-        list.push_back(a.col_idx[static_cast<std::size_t>(k)] / block_c);
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    m.width = std::max(m.width, static_cast<index_t>(list.size()));
-  }
+  m.width = layout.width;
 
   m.stored_blocks =
       static_cast<offset_t>(m.width) * m.padded_block_rows;
@@ -51,20 +67,30 @@ Bellpack<T> Bellpack<T>::from_csr(const Csr<T>& a, index_t block_r,
   m.block_row_len.assign(static_cast<std::size_t>(m.padded_block_rows),
                          index_t{0});
 
-  // Pass 2: fill tile payloads.
+  // Pass 2: tiles in ascending block-column order take slots 0, 1, ...;
+  // slot_of[J] is tile column J's slot in the current block row (set
+  // for every J the row touches before any of its entries is read).
   const std::size_t tile_scalars =
       static_cast<std::size_t>(block_r) * static_cast<std::size_t>(block_c);
+  std::vector<index_t> slot_of(
+      static_cast<std::size_t>((a.n_cols + block_c - 1) / block_c));
   for (index_t I = 0; I < m.n_block_rows; ++I) {
-    const auto& list = tiles[static_cast<std::size_t>(I)];
-    m.block_row_len[static_cast<std::size_t>(I)] =
-        static_cast<index_t>(list.size());
-    std::map<index_t, index_t> slot_of;  // block col -> slot j
-    for (index_t j = 0; j < static_cast<index_t>(list.size()); ++j) {
+    const auto first = layout.block_col.begin() +
+                       static_cast<std::ptrdiff_t>(
+                           layout.ptr[static_cast<std::size_t>(I)]);
+    const auto last = layout.block_col.begin() +
+                      static_cast<std::ptrdiff_t>(
+                          layout.ptr[static_cast<std::size_t>(I) + 1]);
+    std::sort(first, last);
+    const auto len = static_cast<index_t>(last - first);
+    m.block_row_len[static_cast<std::size_t>(I)] = len;
+    for (index_t j = 0; j < len; ++j) {
       const std::size_t slot = static_cast<std::size_t>(j) *
                                    static_cast<std::size_t>(m.padded_block_rows) +
                                static_cast<std::size_t>(I);
-      m.block_col[slot] = list[static_cast<std::size_t>(j)];
-      slot_of[list[static_cast<std::size_t>(j)]] = j;
+      const index_t J = first[j];
+      m.block_col[slot] = J;
+      slot_of[static_cast<std::size_t>(J)] = j;
     }
     const index_t r0 = I * block_r;
     const index_t r1 = std::min<index_t>(r0 + block_r, a.n_rows);
@@ -72,7 +98,7 @@ Bellpack<T> Bellpack<T>::from_csr(const Csr<T>& a, index_t block_r,
       for (offset_t k = a.row_ptr[static_cast<std::size_t>(i)];
            k < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
         const index_t c = a.col_idx[static_cast<std::size_t>(k)];
-        const index_t j = slot_of.at(c / block_c);
+        const index_t j = slot_of[static_cast<std::size_t>(c / block_c)];
         const std::size_t slot = static_cast<std::size_t>(j) *
                                      static_cast<std::size_t>(m.padded_block_rows) +
                                  static_cast<std::size_t>(I);
@@ -167,9 +193,11 @@ void spmv(const Bellpack<T>& a, std::span<const T> x, std::span<T> y,
       });
 }
 
-#define SPMVM_INSTANTIATE_BELLPACK(T)                              \
-  template struct Bellpack<T>;                                     \
-  template void spmv(const Bellpack<T>&, std::span<const T>,       \
+#define SPMVM_INSTANTIATE_BELLPACK(T)                                  \
+  template BellpackLayout bellpack_layout(const Csr<T>&, index_t, index_t, \
+                                          index_t);                        \
+  template struct Bellpack<T>;                                         \
+  template void spmv(const Bellpack<T>&, std::span<const T>,           \
                      std::span<T>, int)
 
 SPMVM_INSTANTIATE_BELLPACK(float);

@@ -8,10 +8,29 @@
 // exactly the contrast the paper draws with pJDS.
 #pragma once
 
+#include <vector>
+
 #include "sparse/csr.hpp"
 #include "util/aligned_buffer.hpp"
 
 namespace spmvm {
+
+/// Layout of a BELLPACK image before any tile is filled: the distinct
+/// block columns each block row touches (block row by block row, in
+/// first-touch order), the width and the padded block-row count.
+struct BellpackLayout {
+  std::vector<offset_t> ptr;       // n_block_rows + 1
+  std::vector<index_t> block_col;  // ptr.back()
+  index_t width = 0;               // most tiles in one block row
+  index_t padded_block_rows = 0;   // rounded up to row_chunk
+};
+
+/// Pass 1 of Bellpack::from_csr and the whole of its pre-build sizer
+/// (bellpack_size in sparse/footprint.hpp): one stamp per block column
+/// marks the tiles a block row already holds.
+template <class T>
+BellpackLayout bellpack_layout(const Csr<T>& a, index_t block_r,
+                               index_t block_c, index_t row_chunk);
 
 template <class T>
 struct Bellpack {
@@ -54,9 +73,11 @@ template <class T>
 void spmv(const Bellpack<T>& a, std::span<const T> x, std::span<T> y,
           int n_threads = 1);
 
-#define SPMVM_EXTERN_BELLPACK(T)                                   \
-  extern template struct Bellpack<T>;                              \
-  extern template void spmv(const Bellpack<T>&, std::span<const T>, \
+#define SPMVM_EXTERN_BELLPACK(T)                                      \
+  extern template BellpackLayout bellpack_layout(const Csr<T>&, index_t, \
+                                                 index_t, index_t);      \
+  extern template struct Bellpack<T>;                                 \
+  extern template void spmv(const Bellpack<T>&, std::span<const T>,    \
                             std::span<T>, int)
 
 SPMVM_EXTERN_BELLPACK(float);

@@ -47,6 +47,24 @@ Footprint footprint(const SlicedEll<T>& a, bool with_row_len = true);
 template <class T>
 Footprint footprint(const Bellpack<T>& a);
 
+/// Pre-build sizes: the footprint() each from_csr would give, from the
+/// builder's own layout step and without storing an entry. The format
+/// registry's sizers wrap these; the `auto` plan ranks candidates by them.
+///
+/// SlicedEll::from_csr(a, C, σ): row lengths sorted descending within
+/// windows of σ rows (the per-window lengths the builder's stable index
+/// sort produces), then slice_offsets. `with_row_len` as in footprint().
+template <class T>
+Footprint sliced_ell_size(const Csr<T>& a, index_t slice_height,
+                          index_t sort_window, bool with_row_len = true);
+/// Jds::from_csr: nnz entries, W + 1 diagonal offsets, n row lengths.
+template <class T>
+Footprint jds_size(const Csr<T>& a);
+/// Bellpack::from_csr: its pass 1 (bellpack_layout) fixes the width.
+template <class T>
+Footprint bellpack_size(const Csr<T>& a, index_t block_r, index_t block_c,
+                        index_t row_chunk = 32);
+
 /// Table I, first row: percentage of ELLPACK storage saved by pJDS,
 /// 100 * (1 - stored_pJDS / stored_ELLPACK), counted in matrix entries
 /// (values + indices scale identically). Takes the `pjds` and `ellpack`
@@ -60,6 +78,11 @@ double data_reduction_percent(const SlicedEll<T>& pjds,
   extern template Footprint footprint(const Jds<T>&);                 \
   extern template Footprint footprint(const SlicedEll<T>&, bool);     \
   extern template Footprint footprint(const Bellpack<T>&);            \
+  extern template Footprint sliced_ell_size(const Csr<T>&, index_t,   \
+                                            index_t, bool);           \
+  extern template Footprint jds_size(const Csr<T>&);                  \
+  extern template Footprint bellpack_size(const Csr<T>&, index_t,     \
+                                          index_t, index_t);          \
   extern template double data_reduction_percent(const SlicedEll<T>&,  \
                                                 const SlicedEll<T>&)
 

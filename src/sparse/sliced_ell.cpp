@@ -7,6 +7,27 @@
 
 namespace spmvm {
 
+AlignedVector<offset_t> slice_offsets(std::span<const index_t> row_len,
+                                      index_t slice_height) {
+  SPMVM_REQUIRE(slice_height >= 1, "slice height must be >= 1");
+  const std::size_t n = row_len.size();
+  const auto c = static_cast<std::size_t>(slice_height);
+  const std::size_t n_slices = (n + c - 1) / c;
+  AlignedVector<offset_t> ptr(n_slices + 1, 0);
+  for (std::size_t s = 0; s < n_slices; ++s) {
+    index_t w = 0;
+    for (std::size_t i = s * c; i < std::min(n, (s + 1) * c); ++i)
+      w = std::max(w, row_len[i]);
+    ptr[s + 1] = ptr[s] + static_cast<offset_t>(w) * slice_height;
+  }
+  return ptr;
+}
+
+index_t ellpack_slice_height(index_t n_rows, index_t chunk) {
+  SPMVM_REQUIRE(chunk >= 1, "row chunk must be >= 1");
+  return std::max((n_rows + chunk - 1) / chunk * chunk, chunk);
+}
+
 template <class T>
 SlicedEll<T> SlicedEll<T>::from_csr(const Csr<T>& a, index_t slice_height,
                                     index_t sort_window,
@@ -40,18 +61,7 @@ SlicedEll<T> SlicedEll<T>::from_csr(const Csr<T>& a, index_t slice_height,
   for (index_t i = 0; i < a.n_rows; ++i)
     m.row_len[static_cast<std::size_t>(i)] = p.row_len(i);
 
-  m.slice_ptr.assign(static_cast<std::size_t>(m.n_slices) + 1, 0);
-  for (index_t s = 0; s < m.n_slices; ++s) {
-    index_t w = 0;
-    for (index_t r = 0; r < slice_height; ++r) {
-      const index_t i = s * slice_height + r;
-      if (i < m.padded_rows)
-        w = std::max(w, m.row_len[static_cast<std::size_t>(i)]);
-    }
-    m.slice_ptr[static_cast<std::size_t>(s) + 1] =
-        m.slice_ptr[static_cast<std::size_t>(s)] +
-        static_cast<offset_t>(w) * slice_height;
-  }
+  m.slice_ptr = slice_offsets(m.row_len, slice_height);
 
   const std::size_t total = static_cast<std::size_t>(m.slice_ptr.back());
   m.val.assign(total, T{0});
@@ -76,9 +86,7 @@ SlicedEll<T> SlicedEll<T>::from_csr(const Csr<T>& a, index_t slice_height,
 
 template <class T>
 SlicedEll<T> SlicedEll<T>::ellpack(const Csr<T>& a, index_t chunk) {
-  SPMVM_REQUIRE(chunk >= 1, "row chunk must be >= 1");
-  const index_t rows = (a.n_rows + chunk - 1) / chunk * chunk;
-  return from_csr(a, std::max(rows, chunk));
+  return from_csr(a, ellpack_slice_height(a.n_rows, chunk));
 }
 
 template <class T>

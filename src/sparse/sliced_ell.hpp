@@ -23,11 +23,25 @@
 // slice_ptr[s] + j·C, so no col_start[] array is needed).
 #pragma once
 
+#include <span>
+
 #include "sparse/csr.hpp"
 #include "sparse/permutation.hpp"
 #include "util/aligned_buffer.hpp"
 
 namespace spmvm {
+
+/// The layout step of every preset: element offset of each slice of
+/// `slice_height` rows, C times the slice's longest row, from the row
+/// lengths in storage order (rows past the end count as empty).
+/// SlicedEll::from_csr and the pre-build sizer (sliced_ell_size in
+/// sparse/footprint.hpp) both call it.
+AlignedVector<offset_t> slice_offsets(std::span<const index_t> row_len,
+                                      index_t slice_height);
+
+/// Slice height of the ELLPACK presets: the whole matrix as one slice of
+/// n_rows rounded up to a multiple of `chunk`, at least one chunk.
+index_t ellpack_slice_height(index_t n_rows, index_t chunk);
 
 template <class T>
 struct SlicedEll {

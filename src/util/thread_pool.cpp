@@ -36,6 +36,7 @@ struct ThreadPool::State {
   std::atomic<int> next_part{0};
   int completed = 0;
   int running = 0;  // workers between cv-wakeup and re-park
+  int started = 0;  // workers past their one-time start-up
   std::exception_ptr first_error;
   bool stop = false;
 
@@ -70,6 +71,10 @@ struct ThreadPool::State {
     static obs::Gauge& g_active = obs::gauge("pool.active_workers");
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lk(m);
+    // Named and past the metric statics above: the run() that spawned
+    // this thread may return.
+    ++started;
+    done_cv.notify_all();
     for (;;) {
       work_cv.wait(lk, [&] { return stop || generation != seen; });
       if (stop) return;
@@ -153,8 +158,14 @@ void ThreadPool::run_impl(int n_parts, void (*invoke)(void*, int), void* ctx) {
     // cv-wakeup and its next part claim, holding the previous task's
     // fn/ctx. Resetting next_part under it would hand it a part of
     // *this* generation to run with the dead closure — wait until every
-    // worker is parked again before re-arming the claim counter.
-    s_->done_cv.wait(lk, [&] { return s_->running == 0; });
+    // worker is parked again before re-arming the claim counter. A new
+    // worker names itself and touches its metric statics on its own
+    // thread, which allocates: wait for that too, so no start-up work
+    // runs on after this call returns.
+    s_->done_cv.wait(lk, [&] {
+      return s_->running == 0 &&
+             s_->started == static_cast<int>(s_->workers.size());
+    });
     s_->invoke = invoke;
     s_->ctx = ctx;
     s_->n_parts = n_parts;

@@ -41,7 +41,9 @@ class ThreadPool {
   /// Invoke task(part) for every part in [0, n_parts), distributed over
   /// the pooled workers plus the calling thread. Blocks until every part
   /// completed; rethrows the first exception a part threw. n_parts <= 1
-  /// and nested calls run inline with no synchronization.
+  /// and nested calls run inline with no synchronization. Workers a call
+  /// spawns have finished their start-up (thread name, metric handles)
+  /// before it returns, so none of their one-time work lands later.
   template <class F>
   void run(int n_parts, F&& task) {
     if (n_parts <= 1 || in_task()) {

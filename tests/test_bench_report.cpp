@@ -199,11 +199,12 @@ namespace {
 
 TEST(SuiteRegistry, IsFixedAndOrdered) {
   const auto s = scenarios();
-  ASSERT_EQ(s.size(), 9u);
+  ASSERT_EQ(s.size(), 10u);
   const std::vector<std::string> names = {
-      "host_kernels",    "auto_format",      "model_deviation",
-      "host_reference",  "exec_backends",    "pcie_thresholds",
-      "dist_comm_modes", "dist_comm",        "serve"};
+      "host_kernels",    "auto_format",     "auto_model",
+      "model_deviation", "host_reference",  "exec_backends",
+      "pcie_thresholds", "dist_comm_modes", "dist_comm",
+      "serve"};
   std::set<std::string> seen;
   for (std::size_t i = 0; i < s.size(); ++i) {
     EXPECT_EQ(s[i].name, names[i]);
@@ -222,7 +223,8 @@ TEST(SuiteRegistry, DeterministicScenariosReproduce) {
   cfg.min_reps = 1;
   cfg.min_seconds = 0.0;
   for (const char* filter :
-       {"pcie_thresholds", "dist_comm_modes", "exec_backends", "serve"}) {
+       {"pcie_thresholds", "dist_comm_modes", "exec_backends", "serve",
+        "auto_model"}) {
     const obs::BenchReport a = run_suite(cfg, filter);
     const obs::BenchReport b = run_suite(cfg, filter);
     ASSERT_FALSE(a.entries.empty()) << filter;
