@@ -14,7 +14,6 @@
 #include "dist/cluster_model.hpp"
 #include "dist/comm_plan.hpp"
 #include "obs/report.hpp"
-#include "gpusim/gpu_spmv.hpp"
 #include "matgen/suite.hpp"
 #include "sparse/matrix_stats.hpp"
 #include "util/ascii.hpp"
@@ -235,19 +234,17 @@ int main(int argc, char** argv) {
     AsciiTable t({"nodes", "ELLPACK-R task [GF/s]", "pJDS task [GF/s]",
                   "pJDS device bytes / E-R"});
     for (const int n : {1, 4, 16, 32}) {
-      c.matrix_format = gpusim::FormatKind::ellpack_r;
-      const auto er =
-          strong_scaling(c, m.matrix, {n}, {CommScheme::task_mode});
-      c.matrix_format = gpusim::FormatKind::pjds;
-      const auto pj =
-          strong_scaling(c, m.matrix, {n}, {CommScheme::task_mode});
       const auto part = partition_balanced_nnz(m.matrix, n);
       const auto d = distribute(m.matrix, part, 0);
-      const double ratio =
-          static_cast<double>(gpusim::device_bytes(
-              d.local, gpusim::FormatKind::pjds, 32)) /
-          static_cast<double>(gpusim::device_bytes(
-              d.local, gpusim::FormatKind::ellpack_r, 32));
+      c.matrix_format = "ellpack_r";
+      const auto er =
+          strong_scaling(c, m.matrix, {n}, {CommScheme::task_mode});
+      const auto er_bytes = device_bytes(c, d.local);
+      c.matrix_format = "pjds";
+      const auto pj =
+          strong_scaling(c, m.matrix, {n}, {CommScheme::task_mode});
+      const double ratio = static_cast<double>(device_bytes(c, d.local)) /
+                           static_cast<double>(er_bytes);
       t.add_row({std::to_string(n), fmt(er[0].gflops, 1),
                  fmt(pj[0].gflops, 1), fmt(ratio, 2)});
     }

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <string>
 
+#include "formats/registry.hpp"
 #include "gpusim/cpu_node.hpp"
 #include "matgen/suite.hpp"
 #include "obs/report.hpp"
@@ -87,7 +88,9 @@ int main(int argc, char** argv) {
     auto scpu = cpu;
     scpu.cache_bytes = static_cast<std::size_t>(
         static_cast<double>(cpu.cache_bytes) / it.scale);
-    const auto r = evaluate(sdev, a, gpusim::FormatKind::ellpack_r, true);
+    const auto sim =
+        formats::registry<double>().build("ellpack_r", a)->simulate(sdev);
+    const auto r = evaluate(sdev, a, *sim, /*ecc=*/true);
     const auto c = gpusim::simulate_csr(scpu, a);
     mt.add_row({it.name, fmt(r.alpha_measured, 2), fmt(r.balance_model, 2),
                 fmt(r.balance_sim, 2),

@@ -190,8 +190,9 @@ void run_model_deviation(const SuiteConfig& cfg, obs::BenchReport& report) {
     auto sdev = dev;  // scale the L2 with the matrix (see DESIGN.md)
     sdev.l2_bytes = static_cast<std::size_t>(
         static_cast<double>(dev.l2_bytes) / scale);
-    const auto r =
-        perfmodel::evaluate(sdev, a, gpusim::FormatKind::ellpack_r, true);
+    const auto sim =
+        formats::registry<double>().build("ellpack_r", a)->simulate(sdev);
+    const auto r = perfmodel::evaluate(sdev, a, *sim, /*ecc=*/true);
     const double sample[] = {r.sim_seconds};
     report.entries.push_back(obs::summarize_samples(
         std::string("model/") + it.name, sample,

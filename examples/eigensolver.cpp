@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "formats/registry.hpp"
-#include "gpusim/gpu_spmv.hpp"
 #include "matgen/generators.hpp"
 #include "solver/lanczos.hpp"
 #include "sparse/matrix_stats.hpp"
@@ -68,7 +67,8 @@ int main(int argc, char** argv) {
 
   // What the same iteration would sustain on a simulated Fermi card.
   const auto dev = gpusim::DeviceSpec::tesla_c2070();
-  const auto sim = gpusim::simulate_format(dev, a, gpusim::FormatKind::pjds);
+  const auto sim =
+      *reg.build("pjds", a, formats::listing2_options())->simulate(dev);
   std::printf("simulated %s pJDS kernel: %.1f GF/s (DP, ECC on)\n",
               dev.name.c_str(), sim.gflops);
   std::printf("=> one Lanczos iteration ~ %.2f ms on the device\n",

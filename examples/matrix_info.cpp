@@ -9,14 +9,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sparse/footprint.hpp"
+#include "formats/registry.hpp"
 #include "gpusim/cpu_node.hpp"
-#include "gpusim/gpu_spmv.hpp"
 #include "matgen/suite.hpp"
 #include "perfmodel/balance.hpp"
 #include "perfmodel/pcie_impact.hpp"
+#include "sparse/footprint.hpp"
 #include "sparse/matrix_market.hpp"
 #include "sparse/matrix_stats.hpp"
 #include "util/ascii.hpp"
@@ -69,12 +70,17 @@ int main(int argc, char** argv) {
   // Simulated device throughput (DP, ECC on).
   const auto dev = gpusim::DeviceSpec::tesla_c2070();
   AsciiTable pt({"format", "GF/s (sim)", "alpha", "bytes/flop"});
-  for (const auto kind :
-       {gpusim::FormatKind::csr_vector, gpusim::FormatKind::ellpack_r,
-        gpusim::FormatKind::sliced_ell, gpusim::FormatKind::pjds}) {
-    const auto r = gpusim::simulate_format(dev, a, kind);
-    pt.add_row({gpusim::to_string(kind), fmt(r.gflops, 1),
-                fmt(r.stats.measured_alpha(8), 2), fmt(r.code_balance, 2)});
+  const auto listing2 = formats::listing2_options();
+  const std::pair<const char*, const char*> kernels[] = {
+      {"CSR-vector", "csr"},
+      {"ELLPACK-R", "ellpack_r"},
+      {"sliced-ELL", "sliced_ell"},
+      {"pJDS", "pjds"}};
+  for (const auto& [label, format] : kernels) {
+    const auto r =
+        *formats::registry<double>().build(format, a, listing2)->simulate(dev);
+    pt.add_row({label, fmt(r.gflops, 1), fmt(r.stats.measured_alpha(8), 2),
+                fmt(r.code_balance, 2)});
   }
   std::printf("%s\n", pt.render().c_str());
 

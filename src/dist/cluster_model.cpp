@@ -2,11 +2,39 @@
 
 #include <algorithm>
 
-#include "gpusim/gpu_spmv.hpp"
+#include "formats/registry.hpp"
 #include "gpusim/pcie.hpp"
 #include "util/error.hpp"
 
 namespace spmvm::dist {
+
+namespace {
+
+/// The registry entry of c.matrix_format, checked before anything is
+/// built: the model needs its simulated kernel and its sizer.
+template <class T>
+const typename formats::FormatRegistry<T>::Entry& device_format(
+    const ClusterSpec& c) {
+  const auto* e = formats::registry<T>().find(c.matrix_format);
+  SPMVM_REQUIRE(e != nullptr,
+                "cluster model: unknown format '" + c.matrix_format + "'");
+  SPMVM_REQUIRE(e->info.has_sim_kernel && e->size != nullptr,
+                "cluster model: format '" + c.matrix_format +
+                    "' has no simulated kernel and sizer");
+  return *e;
+}
+
+template <class T>
+gpusim::KernelResult simulate_part(const ClusterSpec& c, const Csr<T>& a) {
+  gpusim::SimOptions opt;
+  opt.ecc = c.ecc;
+  const auto opts = formats::listing2_options(c.device.warp_size);
+  return *formats::registry<T>()
+              .build(c.matrix_format, a, opts)
+              ->simulate(c.device, opt);
+}
+
+}  // namespace
 
 double NodeTiming::iteration_seconds(const ClusterSpec& c,
                                      CommScheme scheme) const {
@@ -27,20 +55,15 @@ double NodeTiming::iteration_seconds(const ClusterSpec& c,
 
 template <class T>
 NodeTiming node_timing(const ClusterSpec& c, const DistMatrix<T>& d) {
+  device_format<T>(c);  // reject the format before building either part
   NodeTiming t;
-  gpusim::SimOptions opt;
-  opt.ecc = c.ecc;
 
   // Local and non-local kernels in the configured device format
   // (ELLPACK-R in the paper's Sec. III; pJDS as the future-work option).
-  const auto local = gpusim::simulate_format(
-      c.device, d.local, c.matrix_format, opt, c.device.warp_size);
-  t.t_local = local.seconds;
+  t.t_local = simulate_part(c, d.local).seconds;
   double nonlocal_lhs_bytes = 0.0;
   if (d.nonlocal.nnz() > 0) {
-    const auto nonlocal = gpusim::simulate_format(
-        c.device, d.nonlocal, c.matrix_format, opt, c.device.warp_size);
-    t.t_nonlocal = nonlocal.seconds;
+    t.t_nonlocal = simulate_part(c, d.nonlocal).seconds;
     nonlocal_lhs_bytes = static_cast<double>(d.n_local) * sizeof(T);
   }
   // Vector mode runs one unsplit kernel: one launch less, and the result
@@ -70,9 +93,19 @@ NodeTiming node_timing(const ClusterSpec& c, const DistMatrix<T>& d) {
 }
 
 template <class T>
+std::size_t device_bytes(const ClusterSpec& c, const Csr<T>& a) {
+  const auto vectors = static_cast<std::size_t>(a.n_rows) +
+                       static_cast<std::size_t>(a.n_cols);
+  const auto opts = formats::listing2_options(c.device.warp_size);
+  return device_format<T>(c).size(a, opts).total_bytes(sizeof(T)) +
+         vectors * sizeof(T);
+}
+
+template <class T>
 std::vector<ScalingPoint> strong_scaling(
     const ClusterSpec& c, const Csr<T>& a, const std::vector<int>& node_counts,
     const std::vector<CommScheme>& schemes) {
+  device_format<T>(c);  // reject the format before partitioning
   std::vector<ScalingPoint> out;
   for (const int nodes : node_counts) {
     SPMVM_REQUIRE(nodes >= 1, "node count must be >= 1");
@@ -84,10 +117,7 @@ std::vector<ScalingPoint> strong_scaling(
     for (int r = 0; r < nodes; ++r) {
       const auto d = distribute(a, part, r);
       const std::size_t bytes =
-          gpusim::device_bytes(d.local, c.matrix_format,
-                               c.device.warp_size) +
-          gpusim::device_bytes(d.nonlocal, c.matrix_format,
-                               c.device.warp_size);
+          device_bytes(c, d.local) + device_bytes(c, d.nonlocal);
       if (bytes > c.device.dram_bytes) fits = false;
       timings.push_back(node_timing(c, d));
     }
@@ -143,6 +173,7 @@ Timeline task_mode_timeline(const ClusterSpec& c, const NodeTiming& t) {
 #define SPMVM_INSTANTIATE_CLUSTER(T)                                     \
   template NodeTiming node_timing(const ClusterSpec&,                    \
                                   const DistMatrix<T>&);                 \
+  template std::size_t device_bytes(const ClusterSpec&, const Csr<T>&);  \
   template std::vector<ScalingPoint> strong_scaling(                     \
       const ClusterSpec&, const Csr<T>&, const std::vector<int>&,        \
       const std::vector<CommScheme>&)

@@ -24,10 +24,12 @@
 // unsplit kernel (one launch, result written once).
 #pragma once
 
+#include <string>
+
 #include "dist/dist_matrix.hpp"
 #include "dist/spmv_modes.hpp"
 #include "dist/timeline.hpp"
-#include "gpusim/gpu_spmv.hpp"
+#include "gpusim/device_spec.hpp"
 
 namespace spmvm::dist {
 
@@ -44,11 +46,15 @@ struct ClusterSpec {
   /// cost drops from thread_sync_s to thread_wake_s.
   bool persistent_comm = true;
   double thread_wake_s = 5e-7;  // cv wake + handshake of the parked thread
-  /// Device format of the local/non-local kernels. The paper used
-  /// ELLPACK-R throughout Sec. III; "an implementation of the multi-GPGPU
-  /// code with the pJDS format ... is ongoing work" — that extension is
-  /// available here as FormatKind::pjds.
-  gpusim::FormatKind matrix_format = gpusim::FormatKind::ellpack_r;
+  /// Registry name (formats/registry.hpp) of the device format of the
+  /// local/non-local kernels; any entry with a simulated kernel. The
+  /// paper used ELLPACK-R throughout Sec. III; "an implementation of the
+  /// multi-GPGPU code with the pJDS format ... is ongoing work" — that
+  /// extension is "pjds". Both parts are built with
+  /// formats::listing2_options(warp size). Unknown names and
+  /// formats without a simulated kernel (jds, bellpack, auto) throw
+  /// spmvm::Error before anything is built.
+  std::string matrix_format = "ellpack_r";
 
   /// The NERSC Dirac cluster configuration used by the paper.
   static ClusterSpec dirac() { return {}; }
@@ -69,9 +75,17 @@ struct NodeTiming {
   double iteration_seconds(const ClusterSpec& c, CommScheme scheme) const;
 };
 
-/// Simulate rank `d.rank`'s components (ELLPACK-R kernels, per Sec. III).
+/// Simulate rank `d.rank`'s components (c.matrix_format kernels;
+/// ELLPACK-R per Sec. III).
 template <class T>
 NodeTiming node_timing(const ClusterSpec& c, const DistMatrix<T>& d);
+
+/// Device memory one matrix part needs in c.matrix_format: the format's
+/// sized footprint plus the RHS and LHS vectors. Decides whether a part
+/// fits a card at all (the paper: DLR2 in DP fits a 3 GB C2050 only as
+/// pJDS).
+template <class T>
+std::size_t device_bytes(const ClusterSpec& c, const Csr<T>& a);
 
 /// One point of Fig. 5: aggregate performance of `nodes` ranks.
 struct ScalingPoint {
@@ -96,6 +110,8 @@ Timeline task_mode_timeline(const ClusterSpec& c, const NodeTiming& t);
 #define SPMVM_EXTERN_CLUSTER(T)                                         \
   extern template NodeTiming node_timing(const ClusterSpec&,            \
                                          const DistMatrix<T>&);         \
+  extern template std::size_t device_bytes(const ClusterSpec&,          \
+                                           const Csr<T>&);              \
   extern template std::vector<ScalingPoint> strong_scaling(             \
       const ClusterSpec&, const Csr<T>&, const std::vector<int>&,       \
       const std::vector<CommScheme>&)

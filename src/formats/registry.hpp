@@ -1,10 +1,13 @@
 // The format registry — the single place storage formats are enumerated.
 //
 // Every consumer that used to hand-enumerate formats (solver Operator
-// factories, dist kernels, the format benches, the examples) resolves
-// plans by name here instead; adding a format is one register_format()
-// call. registry<T>() returns the process-wide instance pre-loaded with
-// the built-in formats:
+// factories, dist kernels, the cluster model, the Eq. 1 model check, the
+// format and simulator benches, the examples) resolves plans by name
+// here instead; adding a format is one register_format() call. Which
+// SELL-C-σ preset a name means (C, σ, row sort, full width) is decided
+// only in registry.cpp; the column basis is the caller's PlanOptions.
+// registry<T>() returns the process-wide instance pre-loaded with the
+// built-in formats:
 //
 //   csr          CSR, thread-per-row host kernel, CSR-vector sim kernel
 //   ellpack      ELLPACK rectangle, full-width kernel (Fig. 2a)
@@ -18,6 +21,10 @@
 //
 // ellpack, ellpack_r, sliced_ell, sell_c_sigma and pjds are presets of
 // one SELL-C-σ storage (sparse/sliced_ell.hpp) with one SlicedEllPlan.
+// The simulator consumers that can run pjds (the cluster model,
+// bench_ablation, matrix_info, eigensolver) build with
+// listing2_options() below. bench_table1 and bench_fig2_storage still
+// simulate pjds in the registry's default symmetric basis.
 //
 // Every concrete format also registers a sizer next to its builder: the
 // Footprint the builder's plan would report, computed by the builder's
@@ -79,6 +86,18 @@ class FormatRegistry {
 /// The process-wide registry with the built-in formats pre-registered.
 template <class T>
 FormatRegistry<T>& registry();
+
+/// Plan options of the paper's kernel benchmark (Listing 2): pjds rows
+/// permuted, the RHS and col_idx[] in the original basis. The default
+/// symmetric permutation reorders the RHS reads, which the simulator
+/// times differently once the RHS exceeds the L2. Formats that do not
+/// sort rows ignore the setting.
+inline PlanOptions listing2_options(index_t chunk = 32) {
+  PlanOptions opts;
+  opts.chunk = chunk;
+  opts.permute_columns = PermuteColumns::no;
+  return opts;
+}
 
 extern template class FormatRegistry<float>;
 extern template class FormatRegistry<double>;

@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "gpusim/gpu_spmv.hpp"
+#include "gpusim/kernel_sim.hpp"
 
 namespace spmvm::gpusim {
 

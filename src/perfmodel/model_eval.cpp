@@ -16,11 +16,8 @@ double ModelVsSim::model_vs_sim_pct() const {
 
 template <class T>
 ModelVsSim evaluate(const gpusim::DeviceSpec& dev, const Csr<T>& a,
-                    gpusim::FormatKind kind, bool ecc) {
+                    const gpusim::KernelResult& sim, bool ecc) {
   ModelVsSim r;
-  gpusim::SimOptions opt;
-  opt.ecc = ecc;
-  const auto sim = gpusim::simulate_format(dev, a, kind, opt);
   r.alpha_measured = sim.stats.measured_alpha(sizeof(T));
   r.balance_model = code_balance(sizeof(T), r.alpha_measured, a.avg_row_len());
   r.balance_sim = sim.code_balance;
@@ -35,8 +32,8 @@ ModelVsSim evaluate(const gpusim::DeviceSpec& dev, const Csr<T>& a,
 }
 
 template ModelVsSim evaluate(const gpusim::DeviceSpec&, const Csr<float>&,
-                             gpusim::FormatKind, bool);
+                             const gpusim::KernelResult&, bool);
 template ModelVsSim evaluate(const gpusim::DeviceSpec&, const Csr<double>&,
-                             gpusim::FormatKind, bool);
+                             const gpusim::KernelResult&, bool);
 
 }  // namespace spmvm::perfmodel

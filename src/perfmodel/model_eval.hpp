@@ -3,7 +3,7 @@
 // from the simulator's L2 measurement.
 #pragma once
 
-#include "gpusim/gpu_spmv.hpp"
+#include "gpusim/kernel_sim.hpp"
 #include "sparse/csr.hpp"
 
 namespace spmvm::perfmodel {
@@ -27,18 +27,19 @@ struct ModelVsSim {
 /// when the reference is 0.
 double deviation_pct(double predicted, double reference);
 
-/// Run format `kind` through the simulator and evaluate Eq. 1 at the α
-/// the simulator measured — the apples-to-apples comparison behind the
-/// model discussion of Sec. II-B.
+/// Evaluate Eq. 1 at the α the simulator measured in `sim`, one spMVM
+/// of `a` simulated on `dev` with ECC `ecc` — the apples-to-apples
+/// comparison behind the model discussion of Sec. II-B. The caller runs
+/// the kernel, e.g. through its registry plan's simulate().
 template <class T>
 ModelVsSim evaluate(const gpusim::DeviceSpec& dev, const Csr<T>& a,
-                    gpusim::FormatKind kind, bool ecc);
+                    const gpusim::KernelResult& sim, bool ecc);
 
 extern template ModelVsSim evaluate(const gpusim::DeviceSpec&,
-                                    const Csr<float>&, gpusim::FormatKind,
-                                    bool);
+                                    const Csr<float>&,
+                                    const gpusim::KernelResult&, bool);
 extern template ModelVsSim evaluate(const gpusim::DeviceSpec&,
-                                    const Csr<double>&, gpusim::FormatKind,
-                                    bool);
+                                    const Csr<double>&,
+                                    const gpusim::KernelResult&, bool);
 
 }  // namespace spmvm::perfmodel

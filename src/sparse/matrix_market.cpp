@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -15,6 +16,12 @@ std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   return s;
+}
+
+/// Blank lines and '%' comments may appear anywhere after the banner.
+bool blank_or_comment(const std::string& line) {
+  const auto first = line.find_first_not_of(" \t\r\v\f");
+  return first == std::string::npos || line[first] == '%';
 }
 }  // namespace
 
@@ -37,25 +44,36 @@ Csr<T> read_matrix_market(std::istream& in) {
                     symmetry == "skew-symmetric",
                 "unsupported symmetry: " + symmetry);
 
-  // Skip comments and blank lines up to the size line.
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '%') break;
-  }
+  // Sizes and indices are range-checked as read, before any narrowing to
+  // index_t or any allocation.
+  bool have_size = false;
+  while (!have_size && std::getline(in, line))
+    have_size = !blank_or_comment(line);
+  SPMVM_REQUIRE(have_size, "missing size line");
   std::istringstream size_line(line);
-  long long rows = -1, cols = -1, entries = -1;
-  size_line >> rows >> cols >> entries;
-  SPMVM_REQUIRE(rows >= 0 && cols >= 0 && entries >= 0,
+  long long rows = 0, cols = 0, entries = 0;
+  SPMVM_REQUIRE(static_cast<bool>(size_line >> rows >> cols >> entries),
                 "malformed size line");
+  constexpr long long kMaxDim = std::numeric_limits<index_t>::max();
+  SPMVM_REQUIRE(rows >= 0 && rows <= kMaxDim && cols >= 0 && cols <= kMaxDim,
+                "matrix dimensions outside [0, 2^31 - 1]: " + line);
+  // rows·cols <= (2^31 - 1)^2 cannot overflow, nor can twice the count.
+  SPMVM_REQUIRE(entries >= 0 && entries <= rows * cols,
+                "entry count outside [0, rows * cols]: " + line);
+  SPMVM_REQUIRE(symmetry == "general" || rows == cols,
+                symmetry + " matrix must be square");
 
   Coo<T> coo(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  coo.reserve(symmetry == "general" ? entries : 2 * entries);
-  for (long long k = 0; k < entries; ++k) {
+  // The count is only a promise until the entries arrive: cap what it
+  // may allocate up front.
+  constexpr long long kMaxReserve = 1LL << 24;
+  coo.reserve(std::min(symmetry == "general" ? entries : 2 * entries,
+                       kMaxReserve));
+  for (long long k = 0; k < entries;) {
     SPMVM_REQUIRE(static_cast<bool>(std::getline(in, line)),
                   "unexpected end of file in entry list");
-    if (line.empty() || line[0] == '%') {
-      --k;
-      continue;
-    }
+    if (blank_or_comment(line)) continue;
+    ++k;
     std::istringstream ls(line);
     long long r = 0, c = 0;
     double v = 1.0;
@@ -65,6 +83,8 @@ Csr<T> read_matrix_market(std::istream& in) {
       ls >> v;
       SPMVM_REQUIRE(!ls.fail(), "malformed value");
     }
+    SPMVM_REQUIRE(r >= 1 && r <= rows && c >= 1 && c <= cols,
+                  "entry index outside the matrix: " + line);
     const auto i = static_cast<index_t>(r - 1);
     const auto j = static_cast<index_t>(c - 1);
     coo.add(i, j, static_cast<T>(v));
@@ -73,6 +93,9 @@ Csr<T> read_matrix_market(std::istream& in) {
       if (symmetry == "skew-symmetric") coo.add(j, i, static_cast<T>(-v));
     }
   }
+  while (std::getline(in, line))
+    SPMVM_REQUIRE(blank_or_comment(line),
+                  "more entries than the size line declares: " + line);
   return Csr<T>::from_coo(std::move(coo));
 }
 

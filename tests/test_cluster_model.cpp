@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
+#include "formats/registry.hpp"
 #include "matgen/generators.hpp"
+#include "matgen/suite.hpp"
 #include "test_helpers.hpp"
 
 namespace spmvm::dist {
@@ -56,6 +61,74 @@ TEST(NodeTiming, NoCommunicationMeansSchemesTie) {
   EXPECT_NEAR(t.iteration_seconds(c, CommScheme::vector_mode),
               t.iteration_seconds(c, CommScheme::task_mode),
               c.thread_sync_s + 1e-9);
+}
+
+TEST(NodeTiming, PjdsKeepsListing2Basis) {
+  // The model runs pJDS as the paper's kernel benchmark does (Listing 2):
+  // rows permuted, RHS and col_idx[] in the original basis, chunk = warp
+  // size. With the L2 scaled like the matrix, the RHS exceeds it, so the
+  // symmetric permutation (the registry default) times differently.
+  const double scale = 64;
+  const auto a = make_named("sAMG", scale).matrix;
+  ClusterSpec c = ClusterSpec::dirac();
+  c.device.l2_bytes =
+      static_cast<std::size_t>(static_cast<double>(c.device.l2_bytes) / scale);
+  c.matrix_format = "pjds";
+  const auto d = distribute(a, partition_balanced_nnz(a, 4), 1);
+  ASSERT_GT(d.nonlocal.nnz(), 0);
+  const auto t = node_timing(c, d);
+
+  const auto listing2 = formats::listing2_options(c.device.warp_size);
+  gpusim::SimOptions sim;
+  sim.ecc = c.ecc;
+  const auto seconds = [&](const Csr<double>& part,
+                           const formats::PlanOptions& opts) {
+    return formats::registry<double>()
+        .build("pjds", part, opts)
+        ->simulate(c.device, sim)
+        .value()
+        .seconds;
+  };
+  EXPECT_EQ(t.t_local, seconds(d.local, listing2));
+  EXPECT_EQ(t.t_nonlocal, seconds(d.nonlocal, listing2));
+
+  ASSERT_GT(static_cast<std::size_t>(d.local.n_cols) * sizeof(double),
+            c.device.l2_bytes);
+  formats::PlanOptions symmetric = listing2;
+  symmetric.permute_columns = PermuteColumns::yes;
+  EXPECT_NE(t.t_local, seconds(d.local, symmetric));
+}
+
+TEST(NodeTiming, RejectsFormatsWithoutSimKernel) {
+  const auto a = spmvm::testing::random_csr<double>(1024, 1024, 8, 16, 4);
+  const auto d = distribute(a, partition_uniform(1024, 2), 0);
+  ClusterSpec c = ClusterSpec::dirac();
+  const auto expect_rejected = [](const std::function<void()>& run,
+                                  const std::string& name) {
+    try {
+      run();
+      ADD_FAILURE() << "format '" << name << "' was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + name + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const char* name : {"jds", "bellpack", "auto", "no_such_format"}) {
+    c.matrix_format = name;
+    expect_rejected([&] { node_timing(c, d); }, name);
+    expect_rejected(
+        [&] { strong_scaling(c, a, {2}, {CommScheme::task_mode}); }, name);
+    expect_rejected([&] { device_bytes(c, a); }, name);
+  }
+}
+
+TEST(ClusterFormat, PjdsOptionChangesDeviceBytes) {
+  const auto a = spmvm::testing::random_csr<double>(1024, 1024, 1, 40, 8);
+  ClusterSpec c = ClusterSpec::dirac();
+  const std::size_t ellpack_r = device_bytes(c, a);
+  c.matrix_format = "pjds";
+  EXPECT_LT(device_bytes(c, a), ellpack_r);
 }
 
 TEST(StrongScaling, TaskModeWinsOnCommBoundMatrix) {

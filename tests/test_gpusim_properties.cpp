@@ -2,10 +2,12 @@
 // across every (format, device, matrix, ECC) combination.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <tuple>
 
-#include "gpusim/gpu_spmv.hpp"
 #include "matgen/generators.hpp"
+#include "sim_helpers.hpp"
 #include "test_helpers.hpp"
 
 namespace spmvm::gpusim {
@@ -29,9 +31,19 @@ Csr<double> make_matrix(MatKind kind) {
   return {};
 }
 
+/// Simulate a registry format by name; "csr_scalar" (no storage format
+/// of its own) runs the CSR-scalar kernel.
+KernelResult simulate_kernel(const DeviceSpec& dev, const Csr<double>& a,
+                             const std::string& name,
+                             const SimOptions& opt = {}) {
+  return name == "csr_scalar"
+             ? simulate_csr_scalar(dev, a, opt)
+             : spmvm::testing::simulate_named(dev, a, name, opt);
+}
+
 class SimInvariants
     : public ::testing::TestWithParam<
-          std::tuple<MatKind, FormatKind, bool /*ecc*/, bool /*fermi*/>> {};
+          std::tuple<MatKind, std::string, bool /*ecc*/, bool /*fermi*/>> {};
 
 TEST_P(SimInvariants, PhysicallySane) {
   const auto& [mat, format, ecc, fermi] = GetParam();
@@ -40,7 +52,7 @@ TEST_P(SimInvariants, PhysicallySane) {
       fermi ? DeviceSpec::tesla_c2070() : DeviceSpec::tesla_c1060();
   SimOptions opt;
   opt.ecc = ecc;
-  const auto r = simulate_format(dev, a, format, opt);
+  const auto r = simulate_kernel(dev, a, format, opt);
 
   // Throughput is positive and below both roofs.
   EXPECT_GT(r.gflops, 0.0);
@@ -73,12 +85,11 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(MatKind::random_wide, MatKind::banded,
                           MatKind::stencil, MatKind::powerlaw,
                           MatKind::uniform),
-        ::testing::Values(FormatKind::ellpack, FormatKind::ellpack_r,
-                          FormatKind::pjds, FormatKind::sliced_ell,
-                          FormatKind::csr_scalar, FormatKind::csr_vector),
+        ::testing::Values("ellpack", "ellpack_r", "pjds", "sliced_ell",
+                          "csr_scalar", "csr"),
         ::testing::Values(false, true), ::testing::Values(false, true)));
 
-class EccOrdering : public ::testing::TestWithParam<FormatKind> {};
+class EccOrdering : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EccOrdering, EccNeverHelps) {
   const auto a = make_matrix(MatKind::random_wide);
@@ -86,22 +97,19 @@ TEST_P(EccOrdering, EccNeverHelps) {
   SimOptions on, off;
   on.ecc = true;
   off.ecc = false;
-  EXPECT_GE(simulate_format(dev, a, GetParam(), off).gflops,
-            simulate_format(dev, a, GetParam(), on).gflops);
+  EXPECT_GE(simulate_kernel(dev, a, GetParam(), off).gflops,
+            simulate_kernel(dev, a, GetParam(), on).gflops);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, EccOrdering,
-                         ::testing::Values(FormatKind::ellpack,
-                                           FormatKind::ellpack_r,
-                                           FormatKind::pjds,
-                                           FormatKind::sliced_ell,
-                                           FormatKind::csr_vector));
+                         ::testing::Values("ellpack", "ellpack_r", "pjds",
+                                           "sliced_ell", "csr"));
 
 TEST(SimDeterminism, RepeatedRunsIdentical) {
   const auto a = make_matrix(MatKind::powerlaw);
   const auto dev = DeviceSpec::tesla_c2070();
-  const auto r1 = simulate_format(dev, a, FormatKind::pjds);
-  const auto r2 = simulate_format(dev, a, FormatKind::pjds);
+  const auto r1 = simulate_kernel(dev, a, "pjds");
+  const auto r2 = simulate_kernel(dev, a, "pjds");
   EXPECT_DOUBLE_EQ(r1.seconds, r2.seconds);
   EXPECT_EQ(r1.stats.dram_bytes(), r2.stats.dram_bytes());
 }
@@ -111,7 +119,7 @@ TEST(SimMonotonicity, MoreNnzMoreTime) {
   double prev = 0.0;
   for (index_t nnzr : {4, 16, 64}) {
     const auto a = make_random_uniform<double>(2000, nnzr, 21);
-    const auto r = simulate_format(dev, a, FormatKind::ellpack_r);
+    const auto r = simulate_kernel(dev, a, "ellpack_r");
     EXPECT_GT(r.seconds, prev);
     prev = r.seconds;
   }

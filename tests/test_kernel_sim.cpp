@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "gpusim/gpu_spmv.hpp"
+#include "formats/registry.hpp"
 #include "matgen/generators.hpp"
 #include "test_helpers.hpp"
 
@@ -147,21 +147,23 @@ TEST(KernelSim, SortedSlicedEllApproachesPjds) {
   EXPECT_EQ(sorted.stats.warp_steps, p.stats.warp_steps);
 }
 
-TEST(SimulateFormat, DispatchesAllKinds) {
+TEST(RegistrySim, EverySimulatedFormatRunsAndSizes) {
   const auto a = spmvm::testing::random_csr<double>(256, 256, 1, 16, 12);
-  for (const FormatKind kind :
-       {FormatKind::ellpack, FormatKind::ellpack_r, FormatKind::pjds,
-        FormatKind::sliced_ell, FormatKind::csr_scalar}) {
-    const auto r = simulate_format(kFermi, a, kind);
-    EXPECT_GT(r.gflops, 0.0) << to_string(kind);
-    EXPECT_GT(device_bytes(a, kind), 0u) << to_string(kind);
+  for (const auto& e : formats::registry<double>().entries()) {
+    if (!e.info.has_sim_kernel) continue;
+    const auto r = e.builder(a, {}, e.info)->simulate(kFermi, {});
+    ASSERT_TRUE(r.has_value()) << e.info.name;
+    EXPECT_GT(r->gflops, 0.0) << e.info.name;
+    ASSERT_NE(e.size, nullptr) << e.info.name;
+    EXPECT_GT(e.size(a, {}).total_bytes(sizeof(double)), 0u) << e.info.name;
   }
 }
 
 TEST(DeviceBytes, PjdsSmallerThanEllpackOnImbalanced) {
   const auto a = imbalanced_matrix<double>(1024, 13);
-  EXPECT_LT(device_bytes(a, FormatKind::pjds),
-            device_bytes(a, FormatKind::ellpack_r));
+  const auto& reg = formats::registry<double>();
+  EXPECT_LT(reg.find("pjds")->size(a, {}).total_bytes(sizeof(double)),
+            reg.find("ellpack_r")->size(a, {}).total_bytes(sizeof(double)));
 }
 
 }  // namespace

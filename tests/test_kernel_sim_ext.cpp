@@ -1,8 +1,7 @@
-// Tests for the simulator extensions: the CSR-vector kernel,
-// simulate_format and device_bytes.
+// Tests for the simulator extensions: the CSR-vector kernel.
 #include <gtest/gtest.h>
 
-#include "gpusim/gpu_spmv.hpp"
+#include "gpusim/kernel_sim.hpp"
 #include "matgen/generators.hpp"
 #include "test_helpers.hpp"
 
@@ -40,19 +39,6 @@ TEST(CsrVector, CompetitiveWithEllpackROnUniformLongRows) {
   const auto er = simulate(kFermi, SlicedEll<double>::ellpack(a, 32),
                            "ellpack_r");
   EXPECT_GT(vec.gflops, 0.5 * er.gflops);
-}
-
-TEST(FormatKind, CsrVectorDispatches) {
-  const auto a = spmvm::testing::random_csr<double>(256, 256, 1, 10, 7);
-  const auto r = simulate_format(kFermi, a, FormatKind::csr_vector);
-  EXPECT_GT(r.gflops, 0.0);
-  EXPECT_STREQ(to_string(FormatKind::csr_vector), "CSR-vector");
-}
-
-TEST(ClusterFormat, PjdsOptionChangesDeviceBytes) {
-  const auto a = spmvm::testing::random_csr<double>(1024, 1024, 1, 40, 8);
-  EXPECT_LT(device_bytes(a, FormatKind::pjds),
-            device_bytes(a, FormatKind::ellpack_r));
 }
 
 }  // namespace

@@ -12,12 +12,12 @@
 #include <string>
 #include <vector>
 
-#include "gpusim/gpu_spmv.hpp"
 #include "matgen/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/roofline.hpp"
 #include "obs/trace_export.hpp"
 #include "perfmodel/model_eval.hpp"
+#include "sim_helpers.hpp"
 #include "sparse/footprint.hpp"
 #include "sparse/spmv_host.hpp"
 #include "test_helpers.hpp"
@@ -170,8 +170,8 @@ TEST(Ledger, GpusimEfficiencyMatchesPerfmodel) {
   const auto dev = gpusim::DeviceSpec::tesla_c2070();
   const auto a = testing::random_csr<double>(512, 512, 1, 64, 3);
 
-  const perfmodel::ModelVsSim m =
-      perfmodel::evaluate(dev, a, gpusim::FormatKind::pjds, true);
+  const perfmodel::ModelVsSim m = perfmodel::evaluate(
+      dev, a, testing::simulate_named(dev, a, "pjds"), /*ecc=*/true);
 
   const auto records = obs::ledger_snapshot();
   const obs::EffRecord* r =

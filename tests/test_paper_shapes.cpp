@@ -4,18 +4,18 @@
 // by CI.
 #include <gtest/gtest.h>
 
-#include "sparse/footprint.hpp"
+#include "dist/cluster_model.hpp"
 #include "gpusim/cpu_node.hpp"
-#include "gpusim/gpu_spmv.hpp"
-#include "gpusim/pcie.hpp"
 #include "matgen/suite.hpp"
+#include "sim_helpers.hpp"
+#include "sparse/footprint.hpp"
 
 namespace spmvm {
 namespace {
 
 using gpusim::DeviceSpec;
-using gpusim::FormatKind;
 using gpusim::SimOptions;
+using spmvm::testing::simulate_named;
 
 double reduction(const Csr<double>& a) {
   return data_reduction_percent(SlicedEll<double>::pjds(a),
@@ -23,13 +23,13 @@ double reduction(const Csr<double>& a) {
 }
 
 /// Simulated GF/s with the L2 scaled like the matrix (see DESIGN.md).
-double gfs(const Csr<double>& a, double scale, FormatKind kind, bool ecc) {
+double gfs(const Csr<double>& a, double scale, const char* format, bool ecc) {
   DeviceSpec dev = DeviceSpec::tesla_c2070();
   dev.l2_bytes =
       static_cast<std::size_t>(static_cast<double>(dev.l2_bytes) / scale);
   SimOptions opt;
   opt.ecc = ecc;
-  return gpusim::simulate_format(dev, a, kind, opt).gflops;
+  return simulate_named(dev, a, format, opt).gflops;
 }
 
 TEST(PaperShapes, TableOneReductionOrdering) {
@@ -57,25 +57,23 @@ TEST(PaperShapes, PjdsWinsSinglePrecisionOnDlr1) {
   af.col_idx = m.matrix.col_idx;
   af.val.assign(m.matrix.val.begin(), m.matrix.val.end());
   const auto dev = DeviceSpec::tesla_c2070();
-  const double er =
-      gpusim::simulate_format(dev, af, FormatKind::ellpack_r, {false}).gflops;
-  const double pj =
-      gpusim::simulate_format(dev, af, FormatKind::pjds, {false}).gflops;
+  const double er = simulate_named(dev, af, "ellpack_r", {false}).gflops;
+  const double pj = simulate_named(dev, af, "pjds", {false}).gflops;
   EXPECT_GT(pj, 1.05 * er);
 }
 
 TEST(PaperShapes, PjdsNearParityDoublePrecisionOnDlr1) {
   // Table I: DP ECC=1, DLR1: 12.9 vs 12.9 — within a few percent.
   const auto a = make_named("DLR1", 32).matrix;
-  const double er = gfs(a, 32, FormatKind::ellpack_r, true);
-  const double pj = gfs(a, 32, FormatKind::pjds, true);
+  const double er = gfs(a, 32, "ellpack_r", true);
+  const double pj = gfs(a, 32, "pjds", true);
   EXPECT_NEAR(pj / er, 1.0, 0.12);
 }
 
 TEST(PaperShapes, EccCostBoundedByBandwidthRatio) {
   const auto a = make_named("DLR2", 128).matrix;
-  const double off = gfs(a, 128, FormatKind::ellpack_r, false);
-  const double on = gfs(a, 128, FormatKind::ellpack_r, true);
+  const double off = gfs(a, 128, "ellpack_r", false);
+  const double on = gfs(a, 128, "ellpack_r", true);
   EXPECT_GT(off, on);
   EXPECT_LE(off / on, 120.0 / 91.0 + 0.02);
 }
@@ -104,12 +102,13 @@ TEST(PaperShapes, Dlr2FullScaleCapacityClaim) {
   // Extrapolated full-scale DP footprints: ELLPACK(-R) > 3 GB > pJDS.
   const double scale = 64;
   const auto a = make_named("DLR2", scale).matrix;
+  dist::ClusterSpec c;
+  c.matrix_format = "ellpack_r";
   const double gb_er =
-      static_cast<double>(gpusim::device_bytes(a, FormatKind::ellpack_r)) *
-      scale / 1e9;
+      static_cast<double>(dist::device_bytes(c, a)) * scale / 1e9;
+  c.matrix_format = "pjds";
   const double gb_pjds =
-      static_cast<double>(gpusim::device_bytes(a, FormatKind::pjds)) * scale /
-      1e9;
+      static_cast<double>(dist::device_bytes(c, a)) * scale / 1e9;
   EXPECT_GT(gb_er, 3.0);
   EXPECT_LT(gb_pjds, 3.0);
 }

@@ -1,13 +1,15 @@
 #include <gtest/gtest.h>
 
 #include "gpusim/cpu_node.hpp"
-#include "gpusim/gpu_spmv.hpp"
 #include "gpusim/pcie.hpp"
 #include "matgen/generators.hpp"
+#include "sim_helpers.hpp"
 #include "test_helpers.hpp"
 
 namespace spmvm::gpusim {
 namespace {
+
+using spmvm::testing::simulate_named;
 
 const DeviceSpec kFermi = DeviceSpec::tesla_c2070();
 
@@ -22,8 +24,8 @@ TEST(Pcie, LatencyPlusBandwidth) {
 TEST(Pcie, TransfersScaleWithVectorSizeNotNnz) {
   const auto sparse7 = make_random_uniform<double>(20000, 7, 1);
   const auto dense100 = make_random_uniform<double>(20000, 100, 2);
-  const auto k7 = simulate_format(kFermi, sparse7, FormatKind::ellpack_r);
-  const auto k100 = simulate_format(kFermi, dense100, FormatKind::ellpack_r);
+  const auto k7 = simulate_named(kFermi, sparse7, "ellpack_r");
+  const auto k100 = simulate_named(kFermi, dense100, "ellpack_r");
   const auto t7 = with_pcie_transfers(kFermi, k7, 20000, 20000, 8);
   const auto t100 = with_pcie_transfers(kFermi, k100, 20000, 20000, 8);
   EXPECT_NEAR(t7.pcie_seconds, t100.pcie_seconds, 1e-12);
@@ -36,7 +38,7 @@ TEST(Pcie, PenaltyShrinksWithNnzr) {
   double prev_ratio = 1e9;
   for (index_t nnzr : {5, 20, 80}) {
     const auto a = make_random_uniform<double>(30000, nnzr, 3);
-    const auto k = simulate_format(kFermi, a, FormatKind::ellpack_r);
+    const auto k = simulate_named(kFermi, a, "ellpack_r");
     const auto t = with_pcie_transfers(kFermi, k, a.n_rows, a.n_cols, 8);
     const double ratio = t.gflops_kernel / t.gflops_total;
     EXPECT_LT(ratio, prev_ratio) << "nnzr=" << nnzr;
@@ -79,7 +81,7 @@ TEST(GpuVsCpu, HighNnzrFavorsGpuLowNnzrDoesNot) {
   cfg.scale = 64;
 
   const auto samg = make_samg<double>(cfg);
-  const auto k_samg = simulate_format(kFermi, samg, FormatKind::ellpack_r);
+  const auto k_samg = simulate_named(kFermi, samg, "ellpack_r");
   const auto t_samg = with_pcie_transfers(kFermi, k_samg, samg.n_rows,
                                           samg.n_cols, 8);
   const auto c_samg = simulate_csr(node, samg);
@@ -88,7 +90,7 @@ TEST(GpuVsCpu, HighNnzrFavorsGpuLowNnzrDoesNot) {
   GenConfig cfg_dlr;
   cfg_dlr.scale = 8;
   const auto dlr1 = make_dlr1<double>(cfg_dlr);
-  const auto k_dlr = simulate_format(kFermi, dlr1, FormatKind::ellpack_r);
+  const auto k_dlr = simulate_named(kFermi, dlr1, "ellpack_r");
   const auto t_dlr = with_pcie_transfers(kFermi, k_dlr, dlr1.n_rows,
                                          dlr1.n_cols, 8);
   const auto c_dlr = simulate_csr(node, dlr1);

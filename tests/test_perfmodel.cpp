@@ -4,6 +4,7 @@
 #include "perfmodel/balance.hpp"
 #include "perfmodel/model_eval.hpp"
 #include "perfmodel/pcie_impact.hpp"
+#include "sim_helpers.hpp"
 #include "util/error.hpp"
 
 namespace spmvm::perfmodel {
@@ -85,8 +86,9 @@ TEST(ModelVsSim, BalancesAgreeWithinTolerance) {
   GenConfig cfg;
   cfg.scale = 64;
   const auto a = make_hmep<double>(cfg);
-  const auto r = evaluate(gpusim::DeviceSpec::tesla_c2070(), a,
-                          gpusim::FormatKind::ellpack_r, true);
+  const auto dev = gpusim::DeviceSpec::tesla_c2070();
+  const auto r = evaluate(dev, a, testing::simulate_named(dev, a, "ellpack_r"),
+                          /*ecc=*/true);
   EXPECT_GT(r.alpha_measured, 0.0);
   EXPECT_NEAR(r.balance_sim / r.balance_model, 1.0, 0.25);
   EXPECT_GT(r.gflops_sim, 0.0);
@@ -97,8 +99,9 @@ TEST(ModelVsSim, ModelBoundsSimWhenBandwidthBound) {
   // For a high-N_nzr matrix the kernel is bandwidth-bound and the Eq. 1
   // prediction is an upper bound within rounding.
   const auto a = make_random_uniform<double>(30000, 120, 5);
-  const auto r = evaluate(gpusim::DeviceSpec::tesla_c2070(), a,
-                          gpusim::FormatKind::ellpack_r, true);
+  const auto dev = gpusim::DeviceSpec::tesla_c2070();
+  const auto r = evaluate(dev, a, testing::simulate_named(dev, a, "ellpack_r"),
+                          /*ecc=*/true);
   EXPECT_LT(r.gflops_sim, r.gflops_model * 1.3);
 }
 

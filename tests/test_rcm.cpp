@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "gpusim/gpu_spmv.hpp"
 #include "matgen/generators.hpp"
+#include "sim_helpers.hpp"
 #include "sparse/convert.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
@@ -98,10 +98,8 @@ TEST(Rcm, ImprovesMeasuredAlphaOnScrambledMatrix) {
                                     PermuteColumns::yes);
 
   const auto dev = gpusim::DeviceSpec::tesla_c2070();
-  const auto before =
-      gpusim::simulate_format(dev, scrambled, gpusim::FormatKind::ellpack_r);
-  const auto after =
-      gpusim::simulate_format(dev, restored, gpusim::FormatKind::ellpack_r);
+  const auto before = testing::simulate_named(dev, scrambled, "ellpack_r");
+  const auto after = testing::simulate_named(dev, restored, "ellpack_r");
   EXPECT_LT(after.stats.measured_alpha(8),
             0.5 * before.stats.measured_alpha(8));
   EXPECT_GT(after.gflops, before.gflops);

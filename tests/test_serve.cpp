@@ -9,10 +9,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "formats/registry.hpp"
 #include "serve/batcher.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
@@ -61,6 +65,115 @@ std::vector<std::vector<double>> serve_all(
   }
   server.shutdown();
   return ys;
+}
+
+// ---- fault injection: test-only formats in the process registry --------
+
+/// Holds every launch of the `test_gated` format until the test opens it.
+class LaunchGate {
+ public:
+  void reset() {
+    std::lock_guard<std::mutex> lk(m_);
+    entered_ = 0;
+    open_ = false;
+  }
+  void pass() {
+    std::unique_lock<std::mutex> lk(m_);
+    ++entered_;
+    cv_.notify_all();
+    cv_.wait(lk, [&] { return open_; });
+  }
+  bool wait_entered(int n, double timeout_s) {
+    std::unique_lock<std::mutex> lk(m_);
+    return cv_.wait_for(lk, std::chrono::duration<double>(timeout_s),
+                        [&] { return entered_ >= n; });
+  }
+  void open() {
+    std::lock_guard<std::mutex> lk(m_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool open_ = false;
+};
+
+LaunchGate& launch_gate() {
+  static LaunchGate gate;
+  return gate;
+}
+
+constexpr index_t kFaultyRows = 40;
+constexpr const char* kFaultMessage = "injected launch fault";
+
+/// A csr plan whose launches either throw or wait at launch_gate().
+class FaultyPlan final : public formats::FormatPlan<double> {
+ public:
+  enum class Mode { throws, gated };
+  FaultyPlan(const Csr<double>& a, const formats::FormatInfo& info, Mode mode)
+      : csr_(formats::registry<double>().build("csr", a)),
+        info_(&info),
+        mode_(mode) {}
+
+  const formats::FormatInfo& info() const override { return *info_; }
+  index_t n_rows() const override { return csr_->n_rows(); }
+  index_t n_cols() const override { return csr_->n_cols(); }
+  offset_t nnz() const override { return csr_->nnz(); }
+  Footprint footprint() const override { return csr_->footprint(); }
+  Csr<double> to_csr() const override { return csr_->to_csr(); }
+  void spmv(std::span<const double> x, std::span<double> y,
+            int n_threads) const override {
+    launch();
+    csr_->spmv(x, y, n_threads);
+  }
+  void spmmv(std::span<const double> x, std::span<double> y, int k,
+             int n_threads) const override {
+    launch();
+    csr_->spmmv(x, y, k, n_threads);
+  }
+
+ private:
+  void launch() const {
+    if (mode_ == Mode::throws) throw std::runtime_error(kFaultMessage);
+    launch_gate().pass();
+  }
+
+  std::shared_ptr<const formats::FormatPlan<double>> csr_;
+  const formats::FormatInfo* info_;
+  Mode mode_;
+};
+
+/// `test_throwing`: matrices with kFaultyRows rows get launches that
+/// throw; every other matrix is built as the registry's plain csr plan.
+std::unique_ptr<formats::FormatPlan<double>> build_throwing(
+    const Csr<double>& a, const formats::PlanOptions& opts,
+    const formats::FormatInfo& info) {
+  if (a.n_rows != kFaultyRows) {
+    const auto* csr = formats::registry<double>().find("csr");
+    return csr->builder(a, opts, csr->info);
+  }
+  return std::make_unique<FaultyPlan>(a, info, FaultyPlan::Mode::throws);
+}
+
+/// `test_gated`: every launch waits at launch_gate(), then runs csr.
+std::unique_ptr<formats::FormatPlan<double>> build_gated(
+    const Csr<double>& a, const formats::PlanOptions&,
+    const formats::FormatInfo& info) {
+  return std::make_unique<FaultyPlan>(a, info, FaultyPlan::Mode::gated);
+}
+
+void register_fault_formats() {
+  auto& reg = formats::registry<double>();
+  if (reg.find("test_throwing") != nullptr) return;
+  reg.register_format({"test_throwing", "csr; launches throw on faulty rows",
+                       false, false, false, /*native_spmmv=*/true},
+                      &build_throwing);
+  reg.register_format({"test_gated", "csr; launches wait at the test gate",
+                       false, false, false, /*native_spmmv=*/true},
+                      &build_gated);
 }
 
 }  // namespace
@@ -403,4 +516,124 @@ TEST(Serve, ConcurrentSubmittersUnderOverloadStayBounded) {
   EXPECT_EQ(s.accepted,
             s.completed + s.timed_out + s.cancelled + s.failed +
                 static_cast<std::uint64_t>(0));
+}
+
+// ---- server: injected launch faults (tsan-concurrency preset coverage) -----
+
+TEST(Serve, LaunchThatThrowsResolvesEveryTicketOnce) {
+  register_fault_formats();
+  ServerOptions opt;
+  opt.backend = "host";
+  opt.format = "test_throwing";
+  opt.n_workers = 2;
+  opt.queue_capacity = 512;
+  opt.max_batch = 4;
+  opt.max_batch_wait_s = 1e-4;
+  Server server(opt);
+  const auto good = random_csr<double>(24, 24, 1, 5, 12);
+  server.register_matrix("bad", random_csr<double>(kFaultyRows, kFaultyRows,
+                                                   1, 5, 11));
+  server.register_matrix("good", good);  // bound as plain csr
+  server.start();
+
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 20;
+  std::atomic<int> failed{0}, ok{0}, other{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        const bool bad = (c + i) % 2 == 0;
+        const auto x = random_vector<double>(
+            bad ? kFaultyRows : good.n_cols,
+            static_cast<std::uint64_t>(100 * c + i));
+        Ticket t = server.submit(bad ? "bad" : "good", x);
+        if (!t.wait_for(30.0)) {
+          other.fetch_add(1);
+          continue;
+        }
+        const Response r = t.get();
+        if (bad && r.status == RequestStatus::failed &&
+            r.error == kFaultMessage && r.batch_width >= 1) {
+          failed.fetch_add(1);
+        } else if (!bad && r.ok()) {
+          ok.fetch_add(1);
+          spmvm::testing::expect_vectors_near(
+              spmvm::testing::reference_spmv(good, x), r.y, 1e-12);
+        } else {
+          other.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.shutdown();  // returns: the failed launches left no worker stuck
+
+  EXPECT_EQ(other.load(), 0);
+  EXPECT_EQ(failed.load(), kClients * kPerClient / 2);
+  EXPECT_EQ(ok.load(), kClients * kPerClient / 2);
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.failed, static_cast<std::uint64_t>(failed.load()));
+  EXPECT_EQ(s.completed, static_cast<std::uint64_t>(ok.load()));
+  EXPECT_EQ(s.accepted, s.completed + s.failed + s.cancelled + s.timed_out);
+}
+
+TEST(Serve, ShutdownDuringLaunchResolvesEveryTicketOnce) {
+  register_fault_formats();
+  LaunchGate& gate = launch_gate();
+  gate.reset();
+  ServerOptions opt;
+  opt.backend = "host";
+  opt.format = "test_gated";
+  opt.n_workers = 1;
+  opt.max_batch_wait_s = 0.0;
+  Server server(opt);
+  const index_t n = 24;
+  server.register_matrix("m", random_csr<double>(n, n, 1, 5, 13));
+  server.start();
+
+  // The first launch holds the only worker; the rest queue behind it.
+  std::vector<Ticket> tickets;
+  tickets.push_back(server.submit("m", random_vector<double>(n, 1)));
+  // No early return until the gate opens: ~Server would join the held
+  // worker.
+  EXPECT_TRUE(gate.wait_entered(1, 30.0)) << "the launch never started";
+  for (std::uint64_t i = 2; i <= 6; ++i)
+    tickets.push_back(server.submit("m", random_vector<double>(n, i)));
+  tickets[0].cancel();  // its launch already started: completes
+  tickets[3].cancel();  // still queued: resolves as cancelled
+
+  std::thread stopper([&] { server.shutdown(); });
+  // Probe until shutdown stops admission; probes it accepted first are
+  // ordinary tickets and must resolve like the rest.
+  const auto give_up = Clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    Ticket probe = server.submit("m", random_vector<double>(n, 99));
+    if (probe.wait_for(0.0) &&
+        probe.get().status == RequestStatus::rejected_shutdown)
+      break;
+    tickets.push_back(std::move(probe));
+    if (Clock::now() > give_up) {
+      ADD_FAILURE() << "shutdown() never stopped admission";
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.open();
+  stopper.join();
+
+  std::uint64_t ok = 0, cancelled = 0;
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    ASSERT_TRUE(tickets[i].wait_for(0.0)) << "ticket " << i << " unresolved";
+    const RequestStatus st = tickets[i].get().status;
+    EXPECT_EQ(st, i == 3 ? RequestStatus::cancelled : RequestStatus::ok)
+        << "ticket " << i << ": " << to_string(st);
+    ok += st == RequestStatus::ok ? 1 : 0;
+    cancelled += st == RequestStatus::cancelled ? 1 : 0;
+  }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.accepted, tickets.size());
+  EXPECT_EQ(s.completed, ok);
+  EXPECT_EQ(s.cancelled, cancelled);
+  EXPECT_EQ(s.accepted, s.completed + s.failed + s.cancelled + s.timed_out);
 }
