@@ -1,5 +1,7 @@
 #include "serve/batcher.hpp"
 
+#include <algorithm>
+
 #include "core/spmmv.hpp"
 
 namespace spmvm::serve {
@@ -17,6 +19,22 @@ int target_batch_width(std::size_t scalar_size, double alpha, double nnzr,
     ++k;
   }
   return k;
+}
+
+void ArrivalGap::note(time_point t) {
+  std::lock_guard<std::mutex> lk(m_);
+  if (notes_ > 0) {
+    const double gap =
+        t > last_ ? std::chrono::duration<double>(t - last_).count() : 0.0;
+    mean_s_ = notes_ == 1 ? gap : mean_s_ + kWeight * (gap - mean_s_);
+  }
+  if (notes_ == 0 || t > last_) last_ = t;
+  notes_ = std::min(notes_ + 1, 2);
+}
+
+double ArrivalGap::mean_gap() const {
+  std::lock_guard<std::mutex> lk(m_);
+  return mean_s_;
 }
 
 }  // namespace spmvm::serve

@@ -1,10 +1,18 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
+#include <limits>
+#include <span>
 #include <utility>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
+#include "formats/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "perfmodel/balance.hpp"
@@ -20,12 +28,19 @@ double env_double(const char* name, double fallback) {
   if (v == nullptr || *v == '\0') return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v, &end);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
+  // "inf", "nan" and values past double's range (strtod returns ±inf)
+  // keep the default like malformed ones.
+  return (end != nullptr && *end == '\0' && std::isfinite(parsed))
+             ? parsed
+             : fallback;
 }
 
 int env_int(const char* name, int fallback) {
   const double v = env_double(name, static_cast<double>(fallback));
-  return static_cast<int>(v);
+  // Converting a double past int's range is UB: keep the default.
+  constexpr double lo = std::numeric_limits<int>::min() - 1.0;
+  constexpr double hi = std::numeric_limits<int>::max() + 1.0;
+  return v > lo && v < hi ? static_cast<int>(v) : fallback;
 }
 
 std::string env_str(const char* name, std::string fallback) {
@@ -33,9 +48,47 @@ std::string env_str(const char* name, std::string fallback) {
   return (v != nullptr && *v != '\0') ? std::string(v) : fallback;
 }
 
+/// `s` seconds in clock ticks, saturating at the duration's range (the
+/// plain cast is UB past it; NaN saturates high).
 Clock::duration seconds_to_duration(double s) {
-  return std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(s));
+  using Period = Clock::duration::period;
+  const double ticks = s * Period::den / Period::num;
+  // 2^63 ticks for the int64 rep: every double below it converts.
+  constexpr double lim =
+      -static_cast<double>(std::numeric_limits<Clock::rep>::min());
+  if (!(ticks < lim)) return Clock::duration::max();
+  if (!(ticks > -lim)) return Clock::duration::min();
+  return Clock::duration(static_cast<Clock::rep>(ticks));
+}
+
+/// `t` plus `s` seconds; time_point::max() ("never") when the sum
+/// leaves the clock's range. Negative and NaN `s` count as zero.
+Clock::time_point time_after(Clock::time_point t, double s) {
+  if (!(s > 0.0)) return t;
+  const Clock::duration d = seconds_to_duration(s);
+  return d < Clock::time_point::max() - t ? t + d : Clock::time_point::max();
+}
+
+/// Whether launches of `bound` run a native block kernel: only then
+/// does a wider batch read the matrix fewer times per request. Without
+/// one a k-wide launch is k single-vector products plus interleave
+/// copies, so widening adds latency and saves nothing.
+bool has_block_kernel(const exec::BoundSpmv<double>& bound,
+                      const std::string& format) {
+  const formats::FormatPlan<double>* plan = bound.plan();
+  if (plan != nullptr && plan->auto_choice() == nullptr)
+    return plan->info().native_spmmv;
+  // `auto` forwards to the format it chose; hybrid has no single plan,
+  // its parts are both built as `format`.
+  const auto* entry = formats::registry<double>().find(
+      plan != nullptr ? plan->auto_choice()->chosen : format);
+  return entry != nullptr && entry->info.native_spmmv;
+}
+
+/// The first `n` entries of `buf`, which grows to fit and never shrinks.
+std::span<double> first_n(std::vector<double>& buf, std::size_t n) {
+  if (buf.size() < n) buf.resize(n);
+  return std::span<double>(buf).first(n);
 }
 
 double elapsed_seconds(Clock::time_point a, Clock::time_point b) {
@@ -107,11 +160,24 @@ ServerOptions ServerOptions::from_env() {
 }
 
 struct Server::Entry {
-  std::unique_ptr<exec::BoundSpmv<double>> bound;
+  std::unique_ptr<exec::BoundSpmv<double>> bound;  // in Basis::plan
   std::mutex launch_mutex;  // BoundSpmv handles are not thread-safe
   int target_k = 1;
   index_t n_rows = 0;
   index_t n_cols = 0;
+  /// The plan's row permutation (nullptr: identity, and always for
+  /// hybrid, whose parts bind in the original basis) and whether it
+  /// relabels the columns too.
+  const Permutation* perm = nullptr;
+  bool cols_permuted = false;
+  ArrivalGap arrivals;  // admitted requests, noted at submit
+};
+
+struct Server::Staging {
+  std::vector<std::shared_ptr<Request>> batch, live;
+  std::vector<const double*> xs;
+  std::vector<double> X, Y;  // interleaved blocks, plan basis
+  std::vector<std::vector<double>> ys;
 };
 
 Server::Server(ServerOptions opt)
@@ -130,16 +196,27 @@ void Server::register_matrix(const std::string& name, const Csr<double>& a) {
   auto entry = std::make_unique<Entry>();
   entry->n_rows = a.n_rows;
   entry->n_cols = a.n_cols;
+  exec::LaunchOptions launch;
+  launch.n_threads = opt_.kernel_threads;
+  // The plan's basis: serve_batch's staging carries the permutation,
+  // so the backend adds no pass of its own (Sec. II-A).
+  launch.basis = exec::Basis::plan;
+  entry->bound = engine_.bind(opt_.backend, a, opt_.format, {}, launch);
+  if (const auto* plan = entry->bound->plan()) {
+    entry->perm = plan->permutation();
+    entry->cols_permuted = entry->perm != nullptr && plan->columns_permuted();
+  }
   const double nnzr =
       a.n_rows > 0 ? static_cast<double>(a.nnz()) /
                          static_cast<double>(a.n_rows)
                    : 1.0;
-  entry->target_k = target_batch_width(
-      sizeof(double), perfmodel::alpha_ideal(std::max(1.0, nnzr)),
-      std::max(1.0, nnzr), opt_.max_batch, opt_.min_batch_gain);
-  exec::LaunchOptions launch;
-  launch.n_threads = opt_.kernel_threads;
-  entry->bound = engine_.bind(opt_.backend, a, opt_.format, {}, launch);
+  entry->target_k =
+      has_block_kernel(*entry->bound, opt_.format)
+          ? target_batch_width(sizeof(double),
+                               perfmodel::alpha_ideal(std::max(1.0, nnzr)),
+                               std::max(1.0, nnzr), opt_.max_batch,
+                               opt_.min_batch_gain)
+          : 1;
   std::lock_guard<std::mutex> lk(matrices_mutex_);
   SPMVM_REQUIRE(matrices_.find(name) == matrices_.end(),
                 "matrix '" + name + "' already registered");
@@ -174,23 +251,29 @@ Ticket Server::submit(const std::string& matrix, std::vector<double> x,
   Ticket ticket(req);
 
   Entry* e = find_entry(matrix);
-  if (e == nullptr ||
-      req->x.size() != static_cast<std::size_t>(e->n_cols)) {
+  const double dl = deadline_s < 0.0 ? opt_.default_deadline_s : deadline_s;
+  std::string invalid;
+  if (e == nullptr)
+    invalid = "unknown matrix '" + matrix + "'";
+  else if (req->x.size() != static_cast<std::size_t>(e->n_cols))
+    invalid = "x has " + std::to_string(req->x.size()) +
+              " entries, matrix needs " + std::to_string(e->n_cols);
+  else if (std::isnan(dl))
+    invalid = "deadline is NaN";
+  if (!invalid.empty()) {
     static obs::Counter& c = obs::counter("serve.rejected_invalid");
     c.add();
     Response resp;
     resp.status = RequestStatus::rejected_invalid;
-    resp.error = e == nullptr ? "unknown matrix '" + matrix + "'"
-                              : "x has " + std::to_string(req->x.size()) +
-                                    " entries, matrix needs " +
-                                    std::to_string(e->n_cols);
+    resp.error = std::move(invalid);
     resolve(req, std::move(resp));
     return ticket;
   }
-  const double dl = deadline_s < 0.0 ? opt_.default_deadline_s : deadline_s;
-  if (dl > 0.0) req->deadline = Clock::now() + seconds_to_duration(dl);
+  if (dl > 0.0) req->deadline = time_after(Clock::now(), dl);
 
   const Admit admit = queue_->push(req);
+  // enqueue_time was stamped by this thread inside push().
+  if (admit == Admit::accepted) e->arrivals.note(req->enqueue_time);
   {
     std::lock_guard<std::mutex> lk(stats_mutex_);
     if (admit == Admit::accepted) ++stats_.accepted;
@@ -212,14 +295,25 @@ Ticket Server::submit(const std::string& matrix, std::vector<double> x,
 
 void Server::worker_loop(int idx) {
   obs::set_thread_name("serve worker " + std::to_string(idx));
+#ifdef __linux__
+  // Under SCHED_BATCH a woken worker does not preempt the running
+  // thread. A worker launches right after its wake-up, so under the
+  // default policy it could take the core of the client still inside
+  // submit() (in one traced run of five, the submit p50 rose from 10 us
+  // to 1 ms). Best effort: on failure the worker keeps the default
+  // policy.
+  const sched_param param{};
+  (void)sched_setscheduler(0, SCHED_BATCH, &param);
+#endif
+  Staging staging;
   for (;;) {
     std::shared_ptr<Request> first = queue_->pop();
     if (!first) return;  // shut down and drained
-    serve_batch(std::move(first));
+    serve_batch(std::move(first), staging);
   }
 }
 
-void Server::serve_batch(std::shared_ptr<Request> first) {
+void Server::serve_batch(std::shared_ptr<Request> first, Staging& s) {
   static obs::Counter& c_batches = obs::counter("serve.batches");
   static obs::Counter& c_batched = obs::counter("serve.batched_requests");
   static obs::Counter& c_timeout = obs::counter("serve.timed_out");
@@ -232,34 +326,35 @@ void Server::serve_batch(std::shared_ptr<Request> first) {
       obs::latency_histogram("serve.latency.execute");
 
   Entry* e = find_entry(first->matrix);  // validated at submit
-  std::vector<std::shared_ptr<Request>> batch;
+  std::vector<std::shared_ptr<Request>>& batch = s.batch;
+  std::vector<std::shared_ptr<Request>>& live = s.live;
   batch.push_back(std::move(first));
   const std::string& matrix = batch.front()->matrix;
 
   // Coalesce toward the model width: take whatever same-matrix requests
-  // are queued now, then wait out the batching deadline for stragglers.
+  // are queued now, and wait for stragglers up to the batching deadline
+  // only while the matrix's mean arrival gap is shorter than the
+  // window. Otherwise the wait would most likely catch nothing.
   if (e->target_k > 1) {
     const Clock::time_point batch_deadline =
-        batch.front()->dequeue_time +
-        seconds_to_duration(opt_.max_batch_wait_s);
+        time_after(batch.front()->dequeue_time, opt_.max_batch_wait_s);
     for (;;) {
       const std::uint64_t seen = queue_->push_seq();
       queue_->pop_matching(matrix,
                            e->target_k - static_cast<int>(batch.size()),
                            &batch);
       if (static_cast<int>(batch.size()) >= e->target_k) break;
+      if (!(e->arrivals.mean_gap() < opt_.max_batch_wait_s)) break;
       if (!queue_->wait_for_push(seen, batch_deadline)) break;
     }
   }
 
+  const int n_batch = static_cast<int>(batch.size());
   g_inflight.set(static_cast<double>(
-      in_flight_.fetch_add(static_cast<int>(batch.size()),
-                           std::memory_order_relaxed) +
-      static_cast<int>(batch.size())));
+      in_flight_.fetch_add(n_batch, std::memory_order_relaxed) + n_batch));
 
   // Weed out requests that died while queued or during batching.
   const Clock::time_point now = Clock::now();
-  std::vector<std::shared_ptr<Request>> live;
   for (auto& r : batch) {
     if (r->cancelled.load(std::memory_order_relaxed)) {
       c_cancel.add();
@@ -283,13 +378,25 @@ void Server::serve_batch(std::shared_ptr<Request> first) {
     const auto cols = static_cast<std::size_t>(e->n_cols);
     const auto kk = static_cast<std::size_t>(k);
     SPMVM_TRACE_SPAN("serve/batch", static_cast<std::size_t>(k));
-    // Stage X and scatter Y in one row-major pass each: X and Y are
-    // walked in order, the k request vectors side by side.
-    std::vector<const double*> xs(kk);
-    for (std::size_t v = 0; v < kk; ++v) xs[v] = live[v]->x.data();
-    std::vector<double> X(cols * kk), Y(rows * kk);
-    for (std::size_t i = 0; i < cols; ++i)
-      for (std::size_t v = 0; v < kk; ++v) X[i * kk + v] = xs[v][i];
+    // Stage X and scatter Y in the plan's basis, one row-major pass
+    // each: X and Y are walked in order, the k request vectors side by
+    // side, and the permutation is read once per row:
+    //   X[r·k + v] = x_v[old_of(r)] (x_v[r] when columns keep their
+    //   labels), y_v[old_of(r)] = Y[r·k + v].
+    // SELL-C-σ sorts rows within σ-row windows, so old_of(r) stays near
+    // r and the gather is cache-local.
+    const index_t* row_old =
+        e->perm != nullptr ? e->perm->new_to_old().data() : nullptr;
+    const index_t* col_old = e->cols_permuted ? row_old : nullptr;
+    s.xs.resize(kk);
+    for (std::size_t v = 0; v < kk; ++v) s.xs[v] = live[v]->x.data();
+    const std::span<double> X = first_n(s.X, cols * kk);
+    const std::span<double> Y = first_n(s.Y, rows * kk);
+    for (std::size_t r = 0; r < cols; ++r) {
+      const auto i =
+          col_old != nullptr ? static_cast<std::size_t>(col_old[r]) : r;
+      for (std::size_t v = 0; v < kk; ++v) X[r * kk + v] = s.xs[v][i];
+    }
 
     // Both ends are read under the lock: a wait for the other worker's
     // launch of this matrix is batching time, not execute time, and the
@@ -317,11 +424,16 @@ void Server::serve_batch(std::shared_ptr<Request> first) {
       ++stats_.batches;
     }
 
-    std::vector<std::vector<double>> ys;
+    // Each response owns its y, so only the outer vector is reused.
+    std::vector<std::vector<double>>& ys = s.ys;
     if (error.empty()) {
-      ys.assign(kk, std::vector<double>(rows));
-      for (std::size_t i = 0; i < rows; ++i)
-        for (std::size_t v = 0; v < kk; ++v) ys[v][i] = Y[i * kk + v];
+      ys.resize(kk);
+      for (std::size_t v = 0; v < kk; ++v) ys[v].assign(rows, 0.0);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const auto o =
+            row_old != nullptr ? static_cast<std::size_t>(row_old[r]) : r;
+        for (std::size_t v = 0; v < kk; ++v) ys[v][o] = Y[r * kk + v];
+      }
     }
 
     for (std::size_t v = 0; v < kk; ++v) {
@@ -345,9 +457,10 @@ void Server::serve_batch(std::shared_ptr<Request> first) {
   }
 
   g_inflight.set(static_cast<double>(
-      in_flight_.fetch_sub(static_cast<int>(batch.size()),
-                           std::memory_order_relaxed) -
-      static_cast<int>(batch.size())));
+      in_flight_.fetch_sub(n_batch, std::memory_order_relaxed) - n_batch));
+  // Drop the references so each request's x is freed with its ticket.
+  batch.clear();
+  live.clear();
 }
 
 void Server::resolve(const std::shared_ptr<Request>& r, Response resp) {

@@ -6,10 +6,14 @@
 // Clients submit y = A·x requests against a matrix name and get a
 // Ticket; workers drain the admission queue, coalesce same-matrix
 // requests into block-RHS spMMV launches whose width comes from the
-// Eq. 1 balance model (serve/batcher), and resolve the tickets.
-// Because every backend routes all widths — including k = 1 — through
-// the same per-format block kernel, a coalesced batch is bit-identical
-// to issuing its requests one at a time.
+// Eq. 1 balance model (serve/batcher), and resolve the tickets. A
+// worker waits for more requests only while the matrix's arrival rate
+// says one is due within the batching window. Matrices are bound in
+// the plan's basis; the worker's own staging passes carry x and y
+// across the plan's permutation. Because every backend routes all
+// widths — including k = 1 — through the same per-format block kernel,
+// a coalesced batch is bit-identical to issuing its requests one at a
+// time.
 //
 // Lifecycle: construct → register_matrix()* → start() → submit()* →
 // shutdown() (rejects new work, drains in-flight, joins workers). The
@@ -44,7 +48,8 @@ struct ServerOptions {
 
   /// Defaults overridden by SPMVM_SERVE_BACKEND, _FORMAT, _WORKERS,
   /// _QUEUE_CAP, _WATERMARK, _MAX_BATCH, _MAX_WAIT_MS, _DEADLINE_MS,
-  /// _THREADS, _MIN_GAIN. Malformed values keep the default.
+  /// _THREADS, _MIN_GAIN. Malformed, non-finite or out-of-range values
+  /// keep the default.
   static ServerOptions from_env();
 };
 
@@ -74,7 +79,8 @@ class Server {
   void register_matrix(const std::string& name, const Csr<double>& a);
 
   /// Model-chosen block width for a registered matrix (min of the
-  /// Eq. 1 walk and max_batch). Throws for unknown names.
+  /// Eq. 1 walk and max_batch); 1 when its format has no native block
+  /// kernel. Throws for unknown names.
   int batch_width(const std::string& name) const;
 
   /// Launch the worker pool. Idempotent.
@@ -83,8 +89,9 @@ class Server {
   /// Submit y = A·x against a registered matrix. Never blocks: shed or
   /// invalid requests come back as an already-resolved Ticket.
   /// `deadline_s` overrides the configured default (< 0 → default,
-  /// 0 → none): a request whose deadline passes before its launch
-  /// resolves as timed_out.
+  /// 0 or past the clock's range → none, NaN → rejected_invalid): a
+  /// request whose deadline passes before its launch resolves as
+  /// timed_out.
   Ticket submit(const std::string& matrix, std::vector<double> x,
                 double deadline_s = -1.0);
 
@@ -97,11 +104,12 @@ class Server {
   const ServerOptions& options() const { return opt_; }
 
  private:
-  struct Entry;  // one registered matrix
+  struct Entry;    // one registered matrix
+  struct Staging;  // one worker's batch buffers, reused across batches
 
   Entry* find_entry(const std::string& name) const;
   void worker_loop(int idx);
-  void serve_batch(std::shared_ptr<Request> first);
+  void serve_batch(std::shared_ptr<Request> first, Staging& s);
   void resolve(const std::shared_ptr<Request>& r, Response resp);
 
   ServerOptions opt_;

@@ -1,22 +1,30 @@
 // The serving layer's contracts (DESIGN.md §14): admission control
 // sheds load with a reason instead of growing the queue, batched
 // block-RHS launches are bit-identical to serving the same requests one
-// at a time on every backend, shutdown drains every accepted ticket,
-// and cancellation/deadlines are honored cooperatively. The
-// concurrency cases double as the tsan-concurrency preset's coverage
-// of the queue/worker interplay.
+// at a time on every backend and to an original-basis product in every
+// format, a worker waits for stragglers only when one is due, shutdown
+// drains every accepted ticket, and cancellation/deadlines are honored
+// cooperatively. The concurrency cases double as the tsan-concurrency
+// preset's coverage of the queue/worker interplay.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdlib>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "exec/engine.hpp"
 #include "formats/registry.hpp"
+#include "perfmodel/balance.hpp"
 #include "serve/batcher.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
@@ -37,19 +45,23 @@ std::shared_ptr<Request> make_request(const std::string& matrix) {
   return r;
 }
 
-/// Serve `xs` against `a` on `backend` with the given batch ceiling:
-/// submit everything while the workers are still parked, then start,
-/// so a max_batch > 1 server coalesces deterministically.
+/// Serve `xs` against `a` on `backend` in `format` with the given batch
+/// ceiling: submit everything while the workers are still parked, then
+/// start, so a max_batch > 1 server coalesces deterministically.
+/// `model_k` receives the server's batch width for the matrix.
 std::vector<std::vector<double>> serve_all(
     const std::string& backend, int max_batch, const Csr<double>& a,
-    const std::vector<std::vector<double>>& xs, int* width_seen = nullptr) {
+    const std::vector<std::vector<double>>& xs, int* width_seen = nullptr,
+    const std::string& format = "csr", int* model_k = nullptr) {
   ServerOptions opt;
   opt.backend = backend;
+  opt.format = format;
   opt.n_workers = 1;
   opt.max_batch = max_batch;
   opt.max_batch_wait_s = 0.05;
   Server server(opt);
   server.register_matrix("m", a);
+  if (model_k != nullptr) *model_k = server.batch_width("m");
   std::vector<Ticket> tickets;
   tickets.reserve(xs.size());
   for (const auto& x : xs) tickets.push_back(server.submit("m", x));
@@ -165,6 +177,36 @@ std::unique_ptr<formats::FormatPlan<double>> build_gated(
   return std::make_unique<FaultyPlan>(a, info, FaultyPlan::Mode::gated);
 }
 
+/// Sets an environment variable for one scope and restores it after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// The Eq. 1 width the server picks for `a` when its format has a
+/// native block kernel.
+int model_width(const Csr<double>& a, const ServerOptions& opt) {
+  const double nnzr = std::max(
+      1.0, static_cast<double>(a.nnz()) / static_cast<double>(a.n_rows));
+  return target_batch_width(sizeof(double), perfmodel::alpha_ideal(nnzr),
+                            nnzr, opt.max_batch, opt.min_batch_gain);
+}
+
 void register_fault_formats() {
   auto& reg = formats::registry<double>();
   if (reg.find("test_throwing") != nullptr) return;
@@ -206,6 +248,69 @@ TEST(ServeBatcher, WidthMonotoneInThreshold) {
     EXPECT_LE(k, prev) << "gain " << gain;
     prev = k;
   }
+}
+
+TEST(ServeBatcher, NoNativeBlockKernelMeansWidthOne) {
+  // jds and bellpack batch through k single-vector products, so a wider
+  // batch only adds latency; the formats with a block kernel keep the
+  // Eq. 1 width. Hybrid has no single plan and asks the registry.
+  const auto a = random_csr<double>(64, 64, 2, 6, 5);
+  const int model = model_width(a, ServerOptions{});
+  ASSERT_GT(model, 1);
+  // Hybrid `auto` builds one auto plan per part; the `auto` entry itself
+  // has no block kernel.
+  const std::vector<std::tuple<const char*, const char*, int>> cases = {
+      {"host", "jds", 1},          {"host", "bellpack", 1},
+      {"host", "csr", model},      {"host", "sell_c_sigma", model},
+      {"hybrid", "jds", 1},        {"hybrid", "bellpack", 1},
+      {"hybrid", "csr", model},    {"hybrid", "sell_c_sigma", model},
+      {"hybrid", "auto", 1}};
+  for (const auto& [backend, format, k] : cases) {
+    SCOPED_TRACE(std::string(backend) + "/" + format);
+    ServerOptions opt;
+    opt.backend = backend;
+    opt.format = format;
+    Server server(opt);
+    server.register_matrix("m", a);
+    EXPECT_EQ(server.batch_width("m"), k);
+  }
+}
+
+TEST(ServeBatcher, ArrivalGapIsAnEwmaOfGaps) {
+  using namespace std::chrono_literals;
+  ArrivalGap g;
+  const ArrivalGap::time_point t0{};
+  EXPECT_TRUE(std::isinf(g.mean_gap()));  // no arrival yet
+  g.note(t0 + 1s);
+  EXPECT_TRUE(std::isinf(g.mean_gap()));  // one arrival, no gap
+  g.note(t0 + 3s);
+  EXPECT_DOUBLE_EQ(g.mean_gap(), 2.0);  // the first gap seeds the mean
+  g.note(t0 + 37s);                     // gap 34 s
+  EXPECT_DOUBLE_EQ(g.mean_gap(), 2.0 + ArrivalGap::kWeight * 32.0);
+  const double before = g.mean_gap();
+  // A note older than the latest one is a zero gap and leaves the
+  // latest arrival in place.
+  g.note(t0 + 10s);
+  EXPECT_DOUBLE_EQ(g.mean_gap(), before * (1.0 - ArrivalGap::kWeight));
+  const double mid = g.mean_gap();
+  g.note(t0 + 38s);  // 1 s after the latest arrival, not 28 s
+  EXPECT_DOUBLE_EQ(g.mean_gap(), mid + ArrivalGap::kWeight * (1.0 - mid));
+}
+
+TEST(ServeBatcher, ArrivalGapIsSafeForConcurrentNoters) {
+  ArrivalGap g;
+  std::vector<std::thread> noters;
+  for (int t = 0; t < 4; ++t)
+    noters.emplace_back([&] {
+      for (int i = 0; i < 2000; ++i) {
+        g.note(std::chrono::steady_clock::now());
+        (void)g.mean_gap();
+      }
+    });
+  for (auto& t : noters) t.join();
+  const double gap = g.mean_gap();
+  EXPECT_TRUE(std::isfinite(gap));
+  EXPECT_GE(gap, 0.0);
 }
 
 // ---- admission queue -------------------------------------------------------
@@ -296,6 +401,91 @@ TEST(Serve, BatchedBitIdenticalToIndividualOnEveryBackend) {
             << "vector " << v << " row " << i;
     }
   }
+}
+
+TEST(Serve, PermutedFormatsBitIdenticalToOriginalBasisApply) {
+  // The server binds in the plan's basis and carries x and y across the
+  // row permutation in its own staging. Every response must equal the
+  // original-basis product of a fresh binding, bit for bit: square
+  // matrices (rows and columns permuted) and rectangular ones (rows
+  // only), with 600 rows so sell_c_sigma sorts in more than one
+  // σ-window. `auto` probes by timing and may choose differently in two
+  // bindings, and the formats that relabel columns add a row's entries
+  // in another order; with at most two entries a row every order gives
+  // the same bits, so `auto` is checked on such matrices.
+  for (const std::string format : {"sell_c_sigma", "pjds", "jds", "auto"}) {
+    const index_t max_len = format == "auto" ? 2 : 7;
+    for (const auto& [rows, cols] :
+         {std::pair<index_t, index_t>{600, 600}, {300, 200}}) {
+      const auto a = random_csr<double>(rows, cols, 0, max_len, 77);
+      std::vector<std::vector<double>> xs;
+      for (std::uint64_t i = 0; i < 8; ++i)
+        xs.push_back(random_vector<double>(cols, 300 + i));
+      for (const char* backend : {"host", "gpusim", "hybrid", "auto"}) {
+        SCOPED_TRACE(format + " " + std::to_string(rows) + "x" +
+                     std::to_string(cols) + " on " + backend);
+        int width = 0, model_k = 0;
+        const auto ys = serve_all(backend, /*max_batch=*/8, a, xs, &width,
+                                  format, &model_k);
+        // All 8 were queued before start: the first batch is as wide as
+        // the model allows, and only a block kernel makes it wider than 1.
+        EXPECT_EQ(width, model_k);
+        if (format == "jds") {
+          EXPECT_EQ(model_k, 1);
+        } else if (format != "auto") {
+          EXPECT_GT(model_k, 1);
+        }
+
+        exec::Engine<double> engine;
+        const auto bound = engine.bind(backend, a, format);
+        ASSERT_EQ(ys.size(), xs.size());
+        for (std::size_t v = 0; v < xs.size(); ++v) {
+          std::vector<double> ref(static_cast<std::size_t>(rows));
+          bound->apply(xs[v], ref);
+          ASSERT_EQ(ys[v].size(), ref.size());
+          for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(ys[v][i], ref[i]) << "vector " << v << " row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Serve, WaitsForStragglersOnlyWhenOneIsDue) {
+  // Requests spaced wider than the batching window: none is due within
+  // it, so each launches at once instead of waiting out the window. A
+  // burst then brings the mean gap under the window, and batches
+  // coalesce again.
+  const auto a = random_csr<double>(48, 48, 0, 7, 23);
+  ServerOptions opt;
+  opt.backend = "host";
+  opt.n_workers = 1;
+  opt.max_batch = 8;
+  opt.max_batch_wait_s = 0.05;
+  Server server(opt);
+  server.register_matrix("m", a);
+  ASSERT_GT(server.batch_width("m"), 1);
+  server.start();
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const Response r =
+        server.submit("m", random_vector<double>(48, 500 + i)).get();
+    ASSERT_TRUE(r.ok()) << to_string(r.status);
+    EXPECT_LT(r.batch_seconds, opt.max_batch_wait_s / 5)
+        << "request " << i << " waited for a straggler that was not due";
+    std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  }
+  // The EWMA needs about 22 near-zero gaps to halve the 120 ms mean.
+  std::vector<Ticket> burst;
+  for (std::uint64_t i = 0; i < 64; ++i)
+    burst.push_back(server.submit("m", random_vector<double>(48, 600 + i)));
+  int widest = 0;
+  for (Ticket& t : burst) {
+    const Response r = t.get();
+    ASSERT_TRUE(r.ok()) << to_string(r.status);
+    widest = std::max(widest, r.batch_width);
+  }
+  EXPECT_GT(widest, 1);
+  server.shutdown();
 }
 
 TEST(Serve, ExecuteTimeExcludesLaunchLockWait) {
@@ -430,6 +620,101 @@ TEST(Serve, DeadlineExpiryBeforeLaunchTimesOut) {
   EXPECT_EQ(t.get().status, RequestStatus::timed_out);
   server.shutdown();
   EXPECT_EQ(server.stats().timed_out, 1u);
+}
+
+TEST(Serve, DeadlinePastTheClockRangeMeansNone) {
+  // 1e12 s and +inf overflow the clock's nanosecond ticks; they mean "no
+  // deadline", not one in the past.
+  ServerOptions opt;
+  opt.backend = "host";
+  opt.n_workers = 1;
+  Server server(opt);
+  server.register_matrix("m", random_csr<double>(16, 16, 1, 3, 2));
+  server.start();
+  for (const double dl :
+       {1e9, 1e12, 1e300, std::numeric_limits<double>::infinity()}) {
+    const Response r =
+        server.submit("m", std::vector<double>(16, 1.0), dl).get();
+    EXPECT_EQ(r.status, RequestStatus::ok) << "deadline " << dl << ": "
+                                           << to_string(r.status);
+  }
+  server.shutdown();
+  EXPECT_EQ(server.stats().timed_out, 0u);
+}
+
+TEST(Serve, NanDeadlineIsRejectedWithReason) {
+  ServerOptions opt;
+  opt.backend = "host";
+  Server server(opt);
+  server.register_matrix("m", random_csr<double>(16, 16, 1, 3, 2));
+  server.start();
+  const Response r = server
+                         .submit("m", std::vector<double>(16, 1.0),
+                                 std::numeric_limits<double>::quiet_NaN())
+                         .get();
+  EXPECT_EQ(r.status, RequestStatus::rejected_invalid);
+  EXPECT_NE(r.error.find("NaN"), std::string::npos) << r.error;
+  server.shutdown();
+
+  // A NaN configured default is rejected the same way.
+  opt.default_deadline_s = std::numeric_limits<double>::quiet_NaN();
+  Server nan_default(opt);
+  nan_default.register_matrix("m", random_csr<double>(16, 16, 1, 3, 2));
+  nan_default.start();
+  EXPECT_EQ(nan_default.submit("m", std::vector<double>(16, 1.0)).get().status,
+            RequestStatus::rejected_invalid);
+  EXPECT_EQ(nan_default.stats().rejected_invalid, 1u);
+}
+
+TEST(Serve, HugeBatchingWindowSaturates) {
+  // 1e297 s past a dequeue time leaves the clock's range: the batching
+  // deadline saturates at "never", and shutdown still ends the wait.
+  ServerOptions opt;
+  opt.backend = "host";
+  opt.n_workers = 1;
+  opt.max_batch_wait_s = 1e297;
+  Server server(opt);
+  server.register_matrix("m", random_csr<double>(16, 16, 1, 3, 2));
+  ASSERT_GT(server.batch_width("m"), 1);
+  server.start();
+  Ticket first = server.submit("m", std::vector<double>(16, 1.0));
+  Ticket second = server.submit("m", std::vector<double>(16, 2.0));
+  server.shutdown();
+  EXPECT_EQ(first.get().status, RequestStatus::ok);
+  EXPECT_EQ(second.get().status, RequestStatus::ok);
+}
+
+TEST(ServeOptions, EnvOutOfRangeOrNonFiniteKeepsTheDefault) {
+  const ServerOptions def;
+  {
+    ScopedEnv w("SPMVM_SERVE_WORKERS", "1e20");
+    ScopedEnv q("SPMVM_SERVE_QUEUE_CAP", "-1e20");
+    ScopedEnv b("SPMVM_SERVE_MAX_BATCH", "nan");
+    ScopedEnv t("SPMVM_SERVE_THREADS", "inf");
+    const ServerOptions o = ServerOptions::from_env();
+    EXPECT_EQ(o.n_workers, def.n_workers);
+    EXPECT_EQ(o.queue_capacity, def.queue_capacity);
+    EXPECT_EQ(o.max_batch, def.max_batch);
+    EXPECT_EQ(o.kernel_threads, def.kernel_threads);
+  }
+  {
+    ScopedEnv w("SPMVM_SERVE_MAX_WAIT_MS", "inf");
+    ScopedEnv d("SPMVM_SERVE_DEADLINE_MS", "nan");
+    ScopedEnv g("SPMVM_SERVE_MIN_GAIN", "1e999");  // past double's range
+    const ServerOptions o = ServerOptions::from_env();
+    EXPECT_EQ(o.max_batch_wait_s, def.max_batch_wait_s);
+    EXPECT_EQ(o.default_deadline_s, def.default_deadline_s);
+    EXPECT_EQ(o.min_batch_gain, def.min_batch_gain);
+  }
+  {
+    // In-range values still parse; a finite but huge wait is kept and
+    // saturates where it is used.
+    ScopedEnv w("SPMVM_SERVE_WORKERS", "3");
+    ScopedEnv m("SPMVM_SERVE_MAX_WAIT_MS", "1e300");
+    const ServerOptions o = ServerOptions::from_env();
+    EXPECT_EQ(o.n_workers, 3);
+    EXPECT_EQ(o.max_batch_wait_s, 1e300 / 1e3);
+  }
 }
 
 // ---- server: concurrency (tsan-concurrency preset coverage) ----------------
