@@ -97,12 +97,11 @@ int main(int argc, char** argv) {
                             {"ELLPACK-R", "ellpack_r"},
                             {"sliced-ELL", "sliced_ell"},
                             {"pJDS", "pjds"}};
-  const auto listing2 = formats::listing2_options();
   for (const Kernel& k : kernels) {
     const auto r =
         k.format == nullptr
             ? gpusim::simulate_csr_scalar(dev, dlr1)
-            : *formats::registry<double>().build(k.format, dlr1, listing2)
+            : *formats::registry<double>().build(k.format, dlr1)
                    ->simulate(dev);
     t3.add_row({k.label, fmt(r.gflops, 1), fmt(r.code_balance, 2)});
     report.entries.push_back(obs::summarize_samples(

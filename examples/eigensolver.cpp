@@ -67,8 +67,7 @@ int main(int argc, char** argv) {
 
   // What the same iteration would sustain on a simulated Fermi card.
   const auto dev = gpusim::DeviceSpec::tesla_c2070();
-  const auto sim =
-      *reg.build("pjds", a, formats::listing2_options())->simulate(dev);
+  const auto sim = *reg.build("pjds", a)->simulate(dev);
   std::printf("simulated %s pJDS kernel: %.1f GF/s (DP, ECC on)\n",
               dev.name.c_str(), sim.gflops);
   std::printf("=> one Lanczos iteration ~ %.2f ms on the device\n",

@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
   // Simulated device throughput (DP, ECC on).
   const auto dev = gpusim::DeviceSpec::tesla_c2070();
   AsciiTable pt({"format", "GF/s (sim)", "alpha", "bytes/flop"});
-  const auto listing2 = formats::listing2_options();
   const std::pair<const char*, const char*> kernels[] = {
       {"CSR-vector", "csr"},
       {"ELLPACK-R", "ellpack_r"},
@@ -78,7 +77,7 @@ int main(int argc, char** argv) {
       {"pJDS", "pjds"}};
   for (const auto& [label, format] : kernels) {
     const auto r =
-        *formats::registry<double>().build(format, a, listing2)->simulate(dev);
+        *formats::registry<double>().build(format, a)->simulate(dev);
     pt.add_row({label, fmt(r.gflops, 1), fmt(r.stats.measured_alpha(8), 2),
                 fmt(r.code_balance, 2)});
   }

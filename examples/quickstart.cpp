@@ -32,8 +32,9 @@ int main(int argc, char** argv) {
   std::printf("%s\n\n", format_stats("matrix", compute_stats(a)).c_str());
 
   // 2. Resolve formats by name through the registry (block size 32 =
-  //    warp size; symmetric permutation — demoted automatically for
-  //    rectangular matrices — so solvers can stay in the permuted basis).
+  //    warp size; rows sorted, columns keep their labels: the paper's
+  //    Listing 2 basis. PermuteColumns::yes would relabel them too, so
+  //    that solvers can stay in the permuted basis).
   const auto& reg = formats::registry<double>();
   const auto pjds = reg.build("pjds", a);
   const auto ell = reg.build("ellpack", a);
@@ -49,7 +50,9 @@ int main(int argc, char** argv) {
                   static_cast<double>(fp.stored_entries));
 
   // 3. Multiply on the host: y = A x with input/output in the original
-  //    basis — the permutation handle carries the vectors across.
+  //    basis. pJDS writes y through its row map and reports no
+  //    permutation; a PermuteColumns::yes build would report one, and its
+  //    handle carries the vectors across.
   std::vector<double> x(static_cast<std::size_t>(a.n_cols), 1.0);
   std::vector<double> y(static_cast<std::size_t>(a.n_rows));
   {

@@ -140,16 +140,16 @@ template <class T>
 constexpr std::size_t kSellColumnStep = 4;
 
 /// Adds U consecutive columns of one slice, the first at stored position
-/// p, to the sums of the slice's `rows` rows (ys, one row every `stride`
-/// entries).
+/// p, to the sums of the slice's `rows` rows (ys, one row every
+/// `ystride` entries; x advances by `stride` per column).
 template <std::size_t U, std::size_t W, class T>
 inline void sell_columns(const T* __restrict val,
                          const index_t* __restrict col, std::size_t p,
                          std::size_t C, std::size_t rows,
                          const T* __restrict x, std::size_t stride,
-                         T* __restrict ys) {
+                         T* __restrict ys, std::size_t ystride) {
   for (std::size_t r = 0; r < rows; ++r) {
-    T* __restrict out = ys + r * stride;
+    T* __restrict out = ys + r * ystride;
     T acc[W];
     for (std::size_t t = 0; t < W; ++t) acc[t] = out[t];
     for (std::size_t u = 0; u < U; ++u) {
@@ -163,17 +163,24 @@ inline void sell_columns(const T* __restrict val,
   }
 }
 
+/// With a row map (SlicedEll::row_map()) a tile sums into a contiguous
+/// rows × W strip and scatters it once to Y's rows row_map()[r]: the
+/// tile's Y rows are not contiguous then, and a scatter per column visit
+/// measured slower than the one pass at the end.
 template <class T>
 [[gnu::noinline]] void spmmv_sell_impl(const SlicedEll<T>& a, const T* x,
                                        T* y, int k, int n_threads) {
   const auto kk = static_cast<std::size_t>(k);
   const auto C = static_cast<std::size_t>(a.slice_height);
   const auto n_rows = static_cast<std::size_t>(a.n_rows);
+  const index_t* map = a.row_map();
   for_each_group(k, [&](auto w, std::size_t v0) {
     constexpr std::size_t W = decltype(w)::value;
     constexpr std::size_t U = kSellColumnStep;
     detail::parallel_for_tiles(a, n_threads, [&](std::size_t begin,
                                                  std::size_t end) {
+      std::vector<T> strip(
+          map != nullptr ? std::min(C, detail::kSellRowTile) * W : 0);
       detail::for_each_tile(a, begin, end, [&](std::size_t s, std::size_t r0,
                                                std::size_t tile_rows) {
         const std::size_t row0 = s * C + r0;
@@ -182,18 +189,24 @@ template <class T>
         const auto width =
             static_cast<std::size_t>(a.slice_width(static_cast<index_t>(s)));
         const std::size_t rows = std::min(tile_rows, n_rows - row0);
-        T* ys = y + row0 * kk + v0;
+        T* ys = map != nullptr ? strip.data() : y + row0 * kk + v0;
+        const std::size_t ystride = map != nullptr ? W : kk;
         for (std::size_t r = 0; r < rows; ++r)
-          for (std::size_t t = 0; t < W; ++t) ys[r * kk + t] = T{0};
+          for (std::size_t t = 0; t < W; ++t) ys[r * ystride + t] = T{0};
         // Every row walks the slice's full width, padding included,
         // exactly as the single-vector kernel does.
         std::size_t j = 0;
         for (; j + U <= width; j += U)
           sell_columns<U, W>(a.val.data(), a.col_idx.data(), base + j * C, C,
-                             rows, x + v0, kk, ys);
+                             rows, x + v0, kk, ys, ystride);
         for (; j < width; ++j)
           sell_columns<1, W>(a.val.data(), a.col_idx.data(), base + j * C, C,
-                             rows, x + v0, kk, ys);
+                             rows, x + v0, kk, ys, ystride);
+        if (map == nullptr) return;
+        for (std::size_t r = 0; r < rows; ++r) {
+          T* out = y + static_cast<std::size_t>(map[row0 + r]) * kk + v0;
+          for (std::size_t t = 0; t < W; ++t) out[t] = ys[r * W + t];
+        }
       });
     });
   });

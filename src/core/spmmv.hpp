@@ -29,9 +29,9 @@ template <class T>
 void spmmv(const Csr<T>& a, std::span<const T> x, std::span<T> y, int k,
            int n_threads = 1);
 
-/// SELL-C-σ variant for every preset (permuted basis, like the
-/// single-vector kernel): one pass over the chunk-column-major image for
-/// all k vectors, in the same row tiles. k = 1 is the single-vector spmv.
+/// SELL-C-σ variant for every preset (in the single-vector kernel's
+/// basis): one pass over the chunk-column-major image for all k vectors,
+/// in the same row tiles. k = 1 is the single-vector spmv.
 /// `format` names the span (kernel/<format>_block) and ledger key.
 template <class T>
 void spmmv(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,

@@ -24,13 +24,20 @@ const typename formats::FormatRegistry<T>::Entry& device_format(
   return *e;
 }
 
+/// Plan options of both parts: chunk = warp size, default (Listing 2)
+/// basis.
+formats::PlanOptions part_options(const ClusterSpec& c) {
+  formats::PlanOptions opts;
+  opts.chunk = c.device.warp_size;
+  return opts;
+}
+
 template <class T>
 gpusim::KernelResult simulate_part(const ClusterSpec& c, const Csr<T>& a) {
   gpusim::SimOptions opt;
   opt.ecc = c.ecc;
-  const auto opts = formats::listing2_options(c.device.warp_size);
   return *formats::registry<T>()
-              .build(c.matrix_format, a, opts)
+              .build(c.matrix_format, a, part_options(c))
               ->simulate(c.device, opt);
 }
 
@@ -96,8 +103,7 @@ template <class T>
 std::size_t device_bytes(const ClusterSpec& c, const Csr<T>& a) {
   const auto vectors = static_cast<std::size_t>(a.n_rows) +
                        static_cast<std::size_t>(a.n_cols);
-  const auto opts = formats::listing2_options(c.device.warp_size);
-  return device_format<T>(c).size(a, opts).total_bytes(sizeof(T)) +
+  return device_format<T>(c).size(a, part_options(c)).total_bytes(sizeof(T)) +
          vectors * sizeof(T);
 }
 

@@ -50,8 +50,8 @@ struct ClusterSpec {
   /// local/non-local kernels; any entry with a simulated kernel. The
   /// paper used ELLPACK-R throughout Sec. III; "an implementation of the
   /// multi-GPGPU code with the pJDS format ... is ongoing work" — that
-  /// extension is "pjds". Both parts are built with
-  /// formats::listing2_options(warp size). Unknown names and
+  /// extension is "pjds". Both parts are built with chunk = warp size in
+  /// the default (Listing 2) basis. Unknown names and
   /// formats without a simulated kernel (jds, bellpack, auto) throw
   /// spmvm::Error before anything is built.
   std::string matrix_format = "ellpack_r";

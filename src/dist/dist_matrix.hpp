@@ -45,14 +45,16 @@ struct DistMatrix {
 
   /// Kernel plans for the two parts, resolved through the format
   /// registry (distribute() defaults them to "csr"). The halo layout
-  /// fixes the row order, so only non-row-sorting formats qualify.
+  /// fixes the row order, so only plans without a basis of their own
+  /// qualify (the sorted SELL-C-σ presets write through their row map).
   std::string format_name = "csr";
   std::shared_ptr<const formats::FormatPlan<T>> local_plan;
   std::shared_ptr<const formats::FormatPlan<T>> nonlocal_plan;
 
-  /// (Re)build both kernel plans as `format`. Throws for formats that
-  /// permute rows (jds, sell_c_sigma, pjds, auto): the halo exchange
-  /// addresses vector blocks by original row order.
+  /// (Re)build both kernel plans as `format`, columns never relabelled.
+  /// Throws for plans that report a row permutation (jds, or `auto`
+  /// when it picks jds): the halo exchange addresses vector blocks by
+  /// original row order.
   void build_plans(const formats::FormatRegistry<T>& registry,
                    std::string_view format,
                    const formats::PlanOptions& options = {});

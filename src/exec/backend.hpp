@@ -30,11 +30,11 @@ struct BackendInfo {
 };
 
 /// Basis the bound product's vectors live in. `original` hides row
-/// permutations entirely: x and y are original-basis vectors and the
-/// backend carries them across the plan's permutation per apply.
-/// `plan` applies in the plan's own basis with zero carry overhead —
-/// the paper's recommended solver usage (permute once before and after
-/// the whole iteration, Sec. II-A).
+/// permutations entirely: x and y are original-basis vectors, and the
+/// backend carries them across the plan's permutation (jds,
+/// PermuteColumns::yes builds) per apply. `plan` applies in the plan's
+/// own basis with zero carry overhead — the paper's recommended solver
+/// usage (permute once before and after the whole iteration, Sec. II-A).
 enum class Basis : std::uint8_t { original, plan };
 
 /// Per-bind launch knobs, shared by every backend (each reads the

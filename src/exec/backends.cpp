@@ -99,8 +99,8 @@ class HostBound final : public BoundSpmv<T> {
       return;
     }
     // Original basis: carry the vectors across the plan's row
-    // permutation around every product (Basis::plan is the zero-carry
-    // solver path, Sec. II-A).
+    // permutation (jds, PermuteColumns::yes) around every product
+    // (Basis::plan is the zero-carry solver path, Sec. II-A).
     std::span<const T> xin = x;
     if (plan_->columns_permuted()) {
       xperm_.resize(static_cast<std::size_t>(plan_->n_cols()));

@@ -29,7 +29,7 @@ namespace spmvm::formats {
 struct FormatInfo {
   const char* name = "";
   const char* description = "";
-  bool sorts_rows = false;   // may produce a non-identity row permutation
+  bool sorts_rows = false;   // may store rows in a non-identity order
   bool native_axpby = false; // fused y = β·y + α·A·x kernel available
   bool has_sim_kernel = false;  // gpusim hook (FormatPlan::simulate)
   bool native_spmmv = false;    // fused block-RHS kernel (FormatPlan::spmmv)
@@ -50,8 +50,10 @@ struct PlanOptions {
   index_t block_c = 4;
   /// Relabel columns with the row permutation (symmetric permutation) in
   /// row-sorting formats so solvers can iterate entirely in the permuted
-  /// basis. Automatically demoted to `no` for non-square matrices.
-  PermuteColumns permute_columns = PermuteColumns::yes;
+  /// basis. Automatically demoted to `no` for non-square matrices. The
+  /// default `no` is the paper's Listing 2 basis (sorted rows, original
+  /// col_idx[]).
+  PermuteColumns permute_columns = PermuteColumns::no;
 
   // ---- `auto` plan only ----
   /// Confirm the Eq. 1 ranking with a measured probe of the top
@@ -136,8 +138,9 @@ class FormatPlan {
     }
   }
 
-  /// Row permutation of the stored matrix; nullptr = identity (kernels
-  /// work in the original basis).
+  /// Row permutation of the plan's basis; nullptr when the kernels read
+  /// and write the original basis. Only `jds` and PermuteColumns::yes
+  /// builds of the sorted SELL-C-σ presets have one.
   virtual const Permutation* permutation() const { return nullptr; }
 
   /// Whether columns were relabeled with the row permutation (symmetric

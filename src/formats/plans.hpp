@@ -68,6 +68,9 @@ class JdsPlan final : public FormatPlan<T> {
 /// `sell_c_sigma` and `pjds` (sparse/sliced_ell.hpp). They share the host
 /// kernels; `full_width` (plain ELLPACK, Fig. 2a) makes every simulated
 /// lane run the slice width and leaves row_len[] out of the footprint.
+/// A row-sorted image that keeps its column labels writes y through its
+/// row map (SlicedEll::row_map()), so only a PermuteColumns::yes image
+/// reports its permutation.
 template <class T>
 class SlicedEllPlan final : public FormatPlan<T> {
  public:
@@ -88,7 +91,7 @@ class SlicedEllPlan final : public FormatPlan<T> {
   void spmmv(std::span<const T> x, std::span<T> y, int k,
              int n_threads) const override;
   const Permutation* permutation() const override {
-    return a_.sort_window > 1 ? &a_.perm : nullptr;
+    return a_.sort_window > 1 && a_.columns_permuted ? &a_.perm : nullptr;
   }
   bool columns_permuted() const override { return a_.columns_permuted; }
   std::optional<gpusim::KernelResult> simulate(

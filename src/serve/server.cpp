@@ -160,23 +160,18 @@ ServerOptions ServerOptions::from_env() {
 }
 
 struct Server::Entry {
-  std::unique_ptr<exec::BoundSpmv<double>> bound;  // in Basis::plan
+  std::unique_ptr<exec::BoundSpmv<double>> bound;  // in Basis::original
   std::mutex launch_mutex;  // BoundSpmv handles are not thread-safe
   int target_k = 1;
   index_t n_rows = 0;
   index_t n_cols = 0;
-  /// The plan's row permutation (nullptr: identity, and always for
-  /// hybrid, whose parts bind in the original basis) and whether it
-  /// relabels the columns too.
-  const Permutation* perm = nullptr;
-  bool cols_permuted = false;
   ArrivalGap arrivals;  // admitted requests, noted at submit
 };
 
 struct Server::Staging {
   std::vector<std::shared_ptr<Request>> batch, live;
   std::vector<const double*> xs;
-  std::vector<double> X, Y;  // interleaved blocks, plan basis
+  std::vector<double> X, Y;  // interleaved blocks
   std::vector<std::vector<double>> ys;
 };
 
@@ -198,14 +193,9 @@ void Server::register_matrix(const std::string& name, const Csr<double>& a) {
   entry->n_cols = a.n_cols;
   exec::LaunchOptions launch;
   launch.n_threads = opt_.kernel_threads;
-  // The plan's basis: serve_batch's staging carries the permutation,
-  // so the backend adds no pass of its own (Sec. II-A).
-  launch.basis = exec::Basis::plan;
+  // Original basis: the sorted SELL-C-σ presets write y through their
+  // row map, so only jds's plan has a basis for the backend to carry.
   entry->bound = engine_.bind(opt_.backend, a, opt_.format, {}, launch);
-  if (const auto* plan = entry->bound->plan()) {
-    entry->perm = plan->permutation();
-    entry->cols_permuted = entry->perm != nullptr && plan->columns_permuted();
-  }
   const double nnzr =
       a.n_rows > 0 ? static_cast<double>(a.nnz()) /
                          static_cast<double>(a.n_rows)
@@ -378,25 +368,15 @@ void Server::serve_batch(std::shared_ptr<Request> first, Staging& s) {
     const auto cols = static_cast<std::size_t>(e->n_cols);
     const auto kk = static_cast<std::size_t>(k);
     SPMVM_TRACE_SPAN("serve/batch", static_cast<std::size_t>(k));
-    // Stage X and scatter Y in the plan's basis, one row-major pass
-    // each: X and Y are walked in order, the k request vectors side by
-    // side, and the permutation is read once per row:
-    //   X[r·k + v] = x_v[old_of(r)] (x_v[r] when columns keep their
-    //   labels), y_v[old_of(r)] = Y[r·k + v].
-    // SELL-C-σ sorts rows within σ-row windows, so old_of(r) stays near
-    // r and the gather is cache-local.
-    const index_t* row_old =
-        e->perm != nullptr ? e->perm->new_to_old().data() : nullptr;
-    const index_t* col_old = e->cols_permuted ? row_old : nullptr;
+    // Interleave X and de-interleave Y in one row-major pass each, the
+    // k request vectors side by side: X[r·k + v] = x_v[r] and
+    // y_v[r] = Y[r·k + v].
     s.xs.resize(kk);
     for (std::size_t v = 0; v < kk; ++v) s.xs[v] = live[v]->x.data();
     const std::span<double> X = first_n(s.X, cols * kk);
     const std::span<double> Y = first_n(s.Y, rows * kk);
-    for (std::size_t r = 0; r < cols; ++r) {
-      const auto i =
-          col_old != nullptr ? static_cast<std::size_t>(col_old[r]) : r;
-      for (std::size_t v = 0; v < kk; ++v) X[r * kk + v] = s.xs[v][i];
-    }
+    for (std::size_t r = 0; r < cols; ++r)
+      for (std::size_t v = 0; v < kk; ++v) X[r * kk + v] = s.xs[v][r];
 
     // Both ends are read under the lock: a wait for the other worker's
     // launch of this matrix is batching time, not execute time, and the
@@ -429,11 +409,8 @@ void Server::serve_batch(std::shared_ptr<Request> first, Staging& s) {
     if (error.empty()) {
       ys.resize(kk);
       for (std::size_t v = 0; v < kk; ++v) ys[v].assign(rows, 0.0);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const auto o =
-            row_old != nullptr ? static_cast<std::size_t>(row_old[r]) : r;
-        for (std::size_t v = 0; v < kk; ++v) ys[v][o] = Y[r * kk + v];
-      }
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t v = 0; v < kk; ++v) ys[v][r] = Y[r * kk + v];
     }
 
     for (std::size_t v = 0; v < kk; ++v) {

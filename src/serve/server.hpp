@@ -9,8 +9,8 @@
 // Eq. 1 balance model (serve/batcher), and resolve the tickets. A
 // worker waits for more requests only while the matrix's arrival rate
 // says one is due within the batching window. Matrices are bound in
-// the plan's basis; the worker's own staging passes carry x and y
-// across the plan's permutation. Because every backend routes all
+// the original basis, so the worker's staging passes only interleave x
+// and de-interleave y. Because every backend routes all
 // widths — including k = 1 — through the same per-format block kernel,
 // a coalesced batch is bit-identical to issuing its requests one at a
 // time.

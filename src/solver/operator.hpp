@@ -1,14 +1,15 @@
 // Type-erased linear operator y = A·x for the Krylov solvers. Storage
 // formats enter through the format registry: make_operator(registry,
-// name, csr) resolves any registered format — including row-sorting ones,
-// which keep the solver entirely in the permuted basis, the paper's
-// recommended usage where permutation happens only before and after the
-// iteration (Sec. II-A). Execution backends enter through the exec
-// engine: make_operator(bound) wraps any exec::BoundSpmv, so a solver
-// can iterate on the host, the simulated GPGPU, or the hybrid CPU+GPU
-// split without knowing which. All kernel dispatch goes through the
-// exec layer (exec/dispatch.hpp) — solvers never name kernel entry
-// points.
+// name, csr) resolves any registered format. Row-sorting ones built with
+// PermuteColumns::yes keep the solver entirely in the permuted basis, the
+// paper's recommended usage where permutation happens only before and
+// after the iteration (Sec. II-A); in the default column basis the
+// sorted SELL-C-σ presets apply in the original basis. Execution
+// backends enter through the exec engine: make_operator(bound) wraps
+// any exec::BoundSpmv, so a solver can iterate on the host, the
+// simulated GPGPU, or the hybrid CPU+GPU split without knowing which.
+// All kernel dispatch goes through the exec layer (exec/dispatch.hpp) —
+// solvers never name kernel entry points.
 //
 // Operators also expose the fused update y = β·y + α·A·x; formats with a
 // native fused kernel do it in one matrix pass, everything else falls
@@ -94,9 +95,10 @@ Operator<T> make_operator(std::shared_ptr<const Csr<T>> a, int n_threads = 1) {
 }
 
 /// Operator over a format plan, applied in the plan's own basis: for
-/// row-sorting formats x and y are *permuted* vectors (carry them across
-/// with plan->permutation()). Requires a self-consistent basis — either
-/// no row permutation or symmetric column relabeling — so that repeated
+/// plans with a permutation (PermuteColumns::yes builds of the row-sorting
+/// formats) x and y are *permuted* vectors (carry them across with
+/// plan->permutation()). Requires a self-consistent basis — either no
+/// permutation or symmetric column relabeling — so that repeated
 /// applications compose (what Krylov iterations do).
 template <class T>
 Operator<T> make_operator(std::shared_ptr<const formats::FormatPlan<T>> plan,

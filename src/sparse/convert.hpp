@@ -1,8 +1,8 @@
 // Structure-changing CSR transformations: permutation and transpose.
 //
-// All row-reordering formats (JDS, sliced-ELL, pJDS) are built by first
-// materializing the permuted CSR matrix, so the reorder logic lives in
-// exactly one place.
+// The row-sorting formats (JDS and the sorted SELL-C-σ presets) read the
+// CSR in place through their row permutation; they materialise the
+// permuted matrix here only when columns are relabelled too.
 #pragma once
 
 #include "sparse/csr.hpp"

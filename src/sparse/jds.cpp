@@ -17,11 +17,19 @@ Jds<T> Jds<T>::from_csr(const Csr<T>& a, PermuteColumns permute_columns) {
   for (index_t i = 0; i < a.n_rows; ++i)
     lens[static_cast<std::size_t>(i)] = a.row_len(i);
   m.perm = Permutation::sort_descending(lens, std::max<index_t>(a.n_rows, 1));
-  const Csr<T> p = permute_csr(a, m.perm, permute_columns);
+  // Sorted row i is row src_row(i) of `p`: `a` itself, read through the
+  // permutation, unless columns are relabelled (permute_csr then
+  // re-sorts each row by its new column labels).
+  const bool relabel = permute_columns == PermuteColumns::yes;
+  Csr<T> relabelled;
+  if (relabel) relabelled = permute_csr(a, m.perm, PermuteColumns::yes);
+  const Csr<T>& p = relabel ? relabelled : a;
+  const index_t* old = relabel ? nullptr : m.perm.new_to_old().data();
+  const auto src_row = [old](index_t i) { return old != nullptr ? old[i] : i; };
 
   m.row_len.resize(static_cast<std::size_t>(a.n_rows));
   for (index_t i = 0; i < a.n_rows; ++i)
-    m.row_len[static_cast<std::size_t>(i)] = p.row_len(i);
+    m.row_len[static_cast<std::size_t>(i)] = p.row_len(src_row(i));
 
   // Diagonal j holds one entry for every row with length > j; because rows
   // are sorted descending those are exactly rows 0..L_j-1.
@@ -35,15 +43,16 @@ Jds<T> Jds<T>::from_csr(const Csr<T>& a, PermuteColumns permute_columns) {
 
   m.col_idx.resize(static_cast<std::size_t>(m.nnz));
   m.val.resize(static_cast<std::size_t>(m.nnz));
-  for (index_t j = 0; j < m.width; ++j) {
-    const offset_t base = m.jd_ptr[static_cast<std::size_t>(j)];
-    const index_t L = m.diag_len(j);
-    for (index_t i = 0; i < L; ++i) {
-      const offset_t src = p.row_ptr[static_cast<std::size_t>(i)] + j;
-      m.col_idx[static_cast<std::size_t>(base + i)] =
-          p.col_idx[static_cast<std::size_t>(src)];
-      m.val[static_cast<std::size_t>(base + i)] =
-          p.val[static_cast<std::size_t>(src)];
+  // Row by row, so each source row is read once and in order: entry j of
+  // sorted row i is entry i of diagonal j.
+  for (index_t i = 0; i < m.n_rows; ++i) {
+    const offset_t rb = p.row_ptr[static_cast<std::size_t>(src_row(i))];
+    for (index_t j = 0; j < m.row_len[static_cast<std::size_t>(i)]; ++j) {
+      const auto dst =
+          static_cast<std::size_t>(m.jd_ptr[static_cast<std::size_t>(j)] + i);
+      const auto src = static_cast<std::size_t>(rb + j);
+      m.col_idx[dst] = p.col_idx[src];
+      m.val[dst] = p.val[src];
     }
   }
   return m;

@@ -44,22 +44,30 @@ SlicedEll<T> SlicedEll<T>::from_csr(const Csr<T>& a, index_t slice_height,
   m.nnz = a.nnz();
   m.columns_permuted = permute_columns == PermuteColumns::yes;
 
-  // σ = 1 keeps the original order: read `a` in place.
-  Csr<T> sorted;
+  // Image row i is row src_row(i) of `p`. Only a symmetric relabel
+  // materialises the permuted copy (permute_csr re-sorts each row by its
+  // new column labels); otherwise every row is read from `a` in place,
+  // through the permutation when rows are sorted.
+  Csr<T> relabelled;
+  const index_t* old = nullptr;
   if (sort_window > 1) {
     std::vector<index_t> lens(static_cast<std::size_t>(a.n_rows));
     for (index_t i = 0; i < a.n_rows; ++i)
       lens[static_cast<std::size_t>(i)] = a.row_len(i);
     m.perm = Permutation::sort_descending(lens, sort_window);
-    sorted = permute_csr(a, m.perm, permute_columns);
+    if (m.columns_permuted)
+      relabelled = permute_csr(a, m.perm, PermuteColumns::yes);
+    else
+      old = m.perm.new_to_old().data();
   } else {
     m.perm = Permutation::identity(a.n_rows);
   }
-  const Csr<T>& p = sort_window > 1 ? sorted : a;
+  const Csr<T>& p = sort_window > 1 && m.columns_permuted ? relabelled : a;
+  const auto src_row = [old](index_t i) { return old != nullptr ? old[i] : i; };
 
   m.row_len.assign(static_cast<std::size_t>(m.padded_rows), index_t{0});
   for (index_t i = 0; i < a.n_rows; ++i)
-    m.row_len[static_cast<std::size_t>(i)] = p.row_len(i);
+    m.row_len[static_cast<std::size_t>(i)] = p.row_len(src_row(i));
 
   m.slice_ptr = slice_offsets(m.row_len, slice_height);
 
@@ -71,7 +79,7 @@ SlicedEll<T> SlicedEll<T>::from_csr(const Csr<T>& a, index_t slice_height,
     for (index_t r = 0; r < slice_height; ++r) {
       const index_t i = s * slice_height + r;
       if (i >= m.n_rows) continue;
-      const offset_t rb = p.row_ptr[static_cast<std::size_t>(i)];
+      const offset_t rb = p.row_ptr[static_cast<std::size_t>(src_row(i))];
       const index_t len = m.row_len[static_cast<std::size_t>(i)];
       for (index_t j = 0; j < len; ++j) {
         const std::size_t dst = static_cast<std::size_t>(

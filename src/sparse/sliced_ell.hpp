@@ -13,8 +13,14 @@
 //   ellpack       n_rows rounded up to chunk 1      no   (SELL-N-1)
 //   ellpack_r     same image as ellpack      1      no
 //   sliced_ell    chunk                      1      no   (SELL-C-1)
-//   sell_c_sigma  chunk                      σ      square matrices
-//   pjds          chunk (= br)               N      square matrices
+//   sell_c_sigma  chunk                      σ      opt-in, square only
+//   pjds          chunk (= br)               N      opt-in, square only
+//
+// Basis: a sorted image (σ > 1) whose columns keep their labels reads x
+// through the original col_idx[] and stores row r at y[old_of(r)]
+// (row_map()), as the paper's Listing 2 does, so its products are in the
+// original basis. PermuteColumns::yes relabels columns as well; the
+// kernels then read and write the permuted basis.
 //
 // ELLPACK's rectangle is a single slice, so entry (i, j) sits at
 // j·padded_rows + i exactly as in Fig. 2a. pJDS is SELL-br-N: the full
@@ -75,6 +81,14 @@ struct SlicedEll {
   /// solvers that iterate in the permuted basis; needs a square matrix).
   static SlicedEll pjds(const Csr<T>& a, index_t block_rows = 32,
                         PermuteColumns permute_columns = PermuteColumns::yes);
+
+  /// Where the kernels store image row r: y[row_map()[r]], the row's
+  /// original index. nullptr when rows keep their order (σ = 1) or
+  /// columns were relabelled; the kernels then store row r at y[r].
+  const index_t* row_map() const {
+    return sort_window > 1 && !columns_permuted ? perm.new_to_old().data()
+                                                : nullptr;
+  }
 
   index_t slice_width(index_t s) const {
     return static_cast<index_t>(

@@ -142,11 +142,14 @@ T csr_row_dot(const T* __restrict val, const index_t* __restrict col,
 /// so they contribute exact zeros and cost no extra memory traffic (they
 /// share cache lines with the real entries either way). A slice of
 /// C <= kSellRowTile rows is one tile. Fused: y = beta*y + alpha*acc.
+/// The epilogue stores tile row r at y[row_map()[r]] when the image has
+/// a row map (tiles own disjoint rows, so threads never share a store).
 template <class T, bool Fused>
 void sell_tiles(const SlicedEll<T>& a, const T* __restrict x, T* __restrict y,
                 T alpha, T beta, std::size_t begin, std::size_t end) {
   const T* __restrict val = aligned(a.val);
   const index_t* __restrict col = aligned(a.col_idx);
+  const index_t* __restrict map = a.row_map();
   const std::size_t C = static_cast<std::size_t>(a.slice_height);
   const auto n_rows = static_cast<std::size_t>(a.n_rows);
   // A heap strip, as the single-slice loop had: with a stack array GCC
@@ -166,6 +169,17 @@ void sell_tiles(const SlicedEll<T>& a, const T* __restrict x, T* __restrict y,
     }
     const std::size_t row0 = s * C + r0;
     const std::size_t live = row0 < n_rows ? std::min(rows, n_rows - row0) : 0;
+    if (map != nullptr) {
+      const index_t* __restrict to = map + row0;
+      for (std::size_t r = 0; r < live; ++r) {
+        T& out = y[static_cast<std::size_t>(to[r])];
+        if constexpr (Fused)
+          out = beta * out + alpha * acc[r];
+        else
+          out = acc[r];
+      }
+      return;
+    }
     T* __restrict ys = y + row0;
     if constexpr (Fused) {
       for (std::size_t r = 0; r < live; ++r)

@@ -2,11 +2,11 @@
 //
 // These are the reference implementations: the GPU simulator executes the
 // same data structures, and every test cross-checks formats against the
-// CSR kernel. Basis convention for row-sorted formats (JDS and the sorted
-// SELL-C-σ presets, pJDS included): the kernel produces the *permuted*
-// result vector y_perm; when the format was built with
-// PermuteColumns::yes the input vector must be in the permuted basis as
-// well.
+// CSR kernel. Basis convention for row-sorted formats: a sorted SELL-C-σ
+// image (pJDS included) whose columns keep their labels reads x and
+// writes y in the original basis (SlicedEll::row_map()). JDS, and any
+// image built with PermuteColumns::yes, produces the *permuted* result
+// y_perm; with PermuteColumns::yes x must be in the permuted basis too.
 #pragma once
 
 #include <span>
@@ -32,8 +32,9 @@ void spmv_axpby(const Csr<T>& a, std::span<const T> x, std::span<T> y,
 template <class T>
 void spmv(const Jds<T>& a, std::span<const T> x, std::span<T> y);
 
-/// y_perm = A_perm·x on any SELL-C-σ preset (ELLPACK, ELLPACK-R,
-/// sliced-ELL, SELL-C-σ, pJDS), slice by slice in row tiles of at most
+/// y = A·x on any SELL-C-σ preset (ELLPACK, ELLPACK-R, sliced-ELL,
+/// SELL-C-σ, pJDS; y_perm = A_perm·x_perm after PermuteColumns::yes),
+/// slice by slice in row tiles of at most
 /// 1024 rows. The inner loop runs chunk-column-major across a tile — the
 /// SELL-C-σ loop order for wide-SIMD CPUs — and every row walks its
 /// slice's full width: padding adds exact zeros for finite x. `format`
@@ -43,9 +44,9 @@ template <class T>
 void spmv(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
           int n_threads = 1, const char* format = "sell_c_sigma");
 
-/// y_perm = β·y_perm + α·A_perm·x — the fused SELL-C-σ update (span
-/// kernel/<format>_axpby), so solvers in the permuted basis need no
-/// separate BLAS-1 pass.
+/// y = β·y + α·A·x in the basis of spmv above — the fused SELL-C-σ
+/// update (span kernel/<format>_axpby), so solvers need no separate
+/// BLAS-1 pass.
 template <class T>
 void spmv_axpby(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
                 T alpha, T beta, int n_threads = 1,

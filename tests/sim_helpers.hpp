@@ -8,14 +8,14 @@
 
 namespace spmvm::testing {
 
-/// Simulate registry format `name` built from `a` with
-/// formats::listing2_options().
+/// Simulate registry format `name` built from `a` with the default plan
+/// options (the paper's Listing 2 basis).
 template <class T>
 gpusim::KernelResult simulate_named(const gpusim::DeviceSpec& dev,
                                     const Csr<T>& a, std::string_view name,
                                     const gpusim::SimOptions& opt = {}) {
   return formats::registry<T>()
-      .build(name, a, formats::listing2_options())
+      .build(name, a)
       ->simulate(dev, opt)
       .value();
 }

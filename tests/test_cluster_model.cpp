@@ -67,7 +67,8 @@ TEST(NodeTiming, PjdsKeepsListing2Basis) {
   // The model runs pJDS as the paper's kernel benchmark does (Listing 2):
   // rows permuted, RHS and col_idx[] in the original basis, chunk = warp
   // size. With the L2 scaled like the matrix, the RHS exceeds it, so the
-  // symmetric permutation (the registry default) times differently.
+  // symmetric permutation (the PermuteColumns::yes opt-in) times
+  // differently.
   const double scale = 64;
   const auto a = make_named("sAMG", scale).matrix;
   ClusterSpec c = ClusterSpec::dirac();
@@ -78,7 +79,8 @@ TEST(NodeTiming, PjdsKeepsListing2Basis) {
   ASSERT_GT(d.nonlocal.nnz(), 0);
   const auto t = node_timing(c, d);
 
-  const auto listing2 = formats::listing2_options(c.device.warp_size);
+  formats::PlanOptions listing2;
+  listing2.chunk = c.device.warp_size;
   gpusim::SimOptions sim;
   sim.ecc = c.ecc;
   const auto seconds = [&](const Csr<double>& part,

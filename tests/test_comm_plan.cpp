@@ -1,20 +1,24 @@
 // Persistent halo-exchange plans (dist/comm_plan): bit-identity with
 // the legacy per-call dist_spmv for every scheme, rendezvous delivery
 // in steady state, comm-thread reuse in task mode, allocation-free
-// steady-state iterations, and plan rebuild after a format switch.
+// steady-state iterations, plan rebuild after a format switch, and the
+// row-sorted SELL-C-σ presets against the CSR plan.
 #include "dist/comm_plan.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <mutex>
 #include <new>
+#include <string>
 #include <tuple>
 
 #include "matgen/generators.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
+#include "util/error.hpp"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -26,7 +30,9 @@
 
 // Global allocation counter for the zero-allocation assertion. The
 // default operator new[] forwards here, so scalar and array news are
-// both counted.
+// both counted. The nothrow form (std::stable_sort's temporary buffer,
+// in the row-sorting builds) is replaced too, so every block the delete
+// below frees came from malloc.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
@@ -35,6 +41,11 @@ void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -268,6 +279,79 @@ TEST(CommPlan, RebuildAfterFormatSwitch) {
   });
   EXPECT_EQ(y_ell, y_ell_legacy);  // same format: exact
   spmvm::testing::expect_vectors_near<double>(y_csr, y_ell, 1e-13);
+}
+
+/// CommPlan result with both kernel plans built as `format`.
+std::vector<double> run_plan(const Csr<double>& a, int n_ranks,
+                             CommScheme scheme, const std::vector<double>& x,
+                             const char* format) {
+  const auto part = partition_balanced_nnz(a, n_ranks);
+  std::vector<double> y(static_cast<std::size_t>(a.n_rows), -1.0);
+  std::mutex m;
+  msg::Runtime::run(n_ranks, [&](msg::Comm& comm) {
+    auto d = distribute(a, part, comm.rank());
+    d.build_plans(formats::registry<double>(), format);
+    EXPECT_EQ(d.local_plan->permutation(), nullptr);
+    const index_t row0 = part.begin(comm.rank());
+    std::vector<double> x_local(x.begin() + row0,
+                                x.begin() + part.end(comm.rank()));
+    std::vector<double> yl(static_cast<std::size_t>(d.n_local));
+    CommPlan<double> plan(comm, d, scheme);
+    plan.spmv(std::span<const double>(x_local), std::span<double>(yl));
+    std::lock_guard<std::mutex> lock(m);
+    std::copy(yl.begin(), yl.end(), y.begin() + row0);
+  });
+  return y;
+}
+
+class CommPlanSortedSell
+    : public ::testing::TestWithParam<
+          std::tuple<int, CommScheme, const char*>> {};
+
+// The sorted presets write each part's rows straight back to their
+// original slots, so the halo layout holds and both parts sum every row
+// in CSR order: bit for bit with the CSR plan on rows shorter than 32
+// (longer CSR rows sum in four partial sums).
+TEST_P(CommPlanSortedSell, BitIdenticalToCsrPlanOnShortRows) {
+  const auto& [n_ranks, scheme, format] = GetParam();
+  const auto a = random_csr<double>(211, 211, 0, 40, 33);
+  const auto x = random_vector<double>(211, 34);
+  const auto y_csr = run_plan(a, n_ranks, scheme, x, "csr");
+  const auto y = run_plan(a, n_ranks, scheme, x, format);
+  std::size_t compared = 0;
+  for (index_t i = 0; i < a.n_rows; ++i) {
+    if (a.row_len(i) >= 32) continue;
+    ++compared;
+    const auto r = static_cast<std::size_t>(i);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(y[r]),
+              std::bit_cast<std::uint64_t>(y_csr[r]))
+        << "row " << i;
+  }
+  EXPECT_GT(compared, 100u);
+  spmvm::testing::expect_vectors_near<double>(y_csr, y, 1e-12);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksSchemesFormats, CommPlanSortedSell,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::Values(CommScheme::vector_mode,
+                                         CommScheme::naive_overlap,
+                                         CommScheme::task_mode),
+                       ::testing::Values("sell_c_sigma", "pjds")));
+
+TEST(CommPlan, BuildPlansRefusesJds) {
+  const auto a = random_csr<double>(60, 60, 1, 6, 35);
+  auto d = distribute(a, partition_balanced_nnz(a, 2), 0);
+  try {
+    d.build_plans(formats::registry<double>(), "jds");
+    FAIL() << "jds accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "permutes rows; the halo exchange needs the original row "
+                  "order"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // The gather metrics advance as plans execute.

@@ -204,13 +204,26 @@ TEST(Operator, RejectsShortVectors) {
 
 TEST(Operator, RowSortedPlanRequiresPermutedColumns) {
   // A plan that sorts rows without relabeling the columns iterates in a
-  // mixed basis; the operator factory must reject it.
+  // mixed basis; the operator factory must reject it. jds is the one
+  // such plan: the sorted SELL-C-σ presets write y through their row
+  // map, have no basis of their own, and apply in the original basis.
   const auto a = make_poisson2d<double>(4, 4);
   formats::PlanOptions opt;
   opt.permute_columns = PermuteColumns::no;
-  const std::shared_ptr<const formats::FormatPlan<double>> plan =
+  const std::shared_ptr<const formats::FormatPlan<double>> jds =
+      formats::registry<double>().build("jds", a, opt);
+  ASSERT_NE(jds->permutation(), nullptr);
+  EXPECT_THROW(make_operator<double>(jds), Error);
+
+  const std::shared_ptr<const formats::FormatPlan<double>> pjds =
       formats::registry<double>().build("pjds", a, opt);
-  EXPECT_THROW(make_operator<double>(plan), Error);
+  ASSERT_EQ(pjds->permutation(), nullptr);
+  const auto op = make_operator<double>(pjds);
+  const auto x = spmvm::testing::random_vector<double>(a.n_cols, 3);
+  std::vector<double> y(static_cast<std::size_t>(a.n_rows));
+  op.apply(std::span<const double>(x), std::span<double>(y));
+  spmvm::testing::expect_vectors_near<double>(
+      spmvm::testing::reference_spmv(a, x), y, 1e-13);
 }
 
 }  // namespace

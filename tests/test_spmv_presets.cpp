@@ -1,12 +1,13 @@
 // The SELL-C-σ presets — ellpack, ellpack_r, sliced_ell, sell_c_sigma and
 // pjds — over one storage, one host kernel family and one simulated
 // kernel: the storage properties the paper states for ELLPACK and pJDS,
-// every kernel bit for bit against a row-order reference, the
-// simulator's ELLPACK / ELLPACK-R / pJDS numbers, and one trace and
-// ledger name per registry format.
+// every kernel bit for bit against a row-order reference in the
+// original basis, the simulator's ELLPACK / ELLPACK-R / pJDS numbers,
+// and one trace and ledger name per registry format.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <span>
 #include <string>
@@ -193,8 +194,9 @@ TEST(SpmvPresetsStorage, EmptyMatrix) {
 
 // ---- kernels ---------------------------------------------------------------
 
-/// Row-order reference: each row sums its slice's full width from zero,
-/// padding included, as every preset's kernel does.
+/// Sequential row-order reference in the original basis: each image row
+/// sums its slice's full width from zero, padding included, as every
+/// preset's kernel does, and lands in its original row old_of(i).
 std::vector<double> row_order(const SlicedEll<double>& m,
                               const std::vector<double>& x) {
   std::vector<double> y(at(m.n_rows));
@@ -204,17 +206,21 @@ std::vector<double> row_order(const SlicedEll<double>& m,
       const std::size_t k = pos(m, i, j);
       acc += m.val[k] * x[at(m.col_idx[k])];
     }
-    y[at(i)] = acc;
+    y[at(m.perm.old_of(i))] = acc;
   }
   return y;
 }
 
-::testing::AssertionResult bit_equal(const std::vector<double>& want,
-                                     const std::vector<double>& got) {
+/// Bit equality on the rows `keep` selects (every row by default).
+template <class Keep = bool (*)(std::size_t)>
+::testing::AssertionResult bit_equal(
+    const std::vector<double>& want, const std::vector<double>& got,
+    Keep keep = [](std::size_t) { return true; }) {
   if (want.size() != got.size())
     return ::testing::AssertionFailure() << "size " << got.size();
   for (std::size_t i = 0; i < want.size(); ++i)
-    if (std::memcmp(&want[i], &got[i], sizeof(double)) != 0)
+    if (keep(i) && std::bit_cast<std::uint64_t>(want[i]) !=
+                       std::bit_cast<std::uint64_t>(got[i]))
       return ::testing::AssertionFailure()
              << "entry " << i << ": " << got[i] << " != " << want[i];
   return ::testing::AssertionSuccess();
@@ -238,10 +244,14 @@ Csr<double> kernel_matrix(int which) {
     }
     case 3:  // fewer rows than one slice
       return random_csr<double>(20, 20, 0, 9, 42);
-    case 4:  // non-square
+    case 4:  // non-square, more rows than columns
       return random_csr<double>(70, 50, 0, 12, 43);
-    default:  // an ellpack image of several 1024-row tiles
+    case 5:  // an ellpack image of several 1024-row tiles
       return random_csr<double>(2500, 2500, 0, 9, 44);
+    case 6:  // 0 × 0
+      return Csr<double>::from_coo(Coo<double>(0, 0));
+    default:  // non-square, more columns than rows, rows up to 40 long
+      return random_csr<double>(50, 70, 0, 40, 48);
   }
 }
 
@@ -249,16 +259,29 @@ class SpmvPresetsKernels
     : public ::testing::TestWithParam<std::tuple<int, const char*, int>> {};
 
 TEST_P(SpmvPresetsKernels, BitIdenticalToRowOrderReference) {
+  // Every preset built with default options works in the original basis:
+  // spmv, spmv_axpby and every spmmv column equal the sequential
+  // row-order reference, and csr on the rows it sums in the same order.
   const auto& [which, name, chunk] = GetParam();
   const auto a = kernel_matrix(which);
   formats::PlanOptions opts;
   opts.chunk = chunk;
   const auto plan = formats::registry<double>().build(name, a, opts);
+  EXPECT_EQ(plan->permutation(), nullptr);
   const auto& m =
       dynamic_cast<const formats::SlicedEllPlan<double>&>(*plan).format();
+  EXPECT_FALSE(m.columns_permuted);
+  // csr_row_dot sums a row of 32 or more entries in four partial sums.
+  const auto csr = formats::registry<double>().build("csr", a);
+  const auto short_row = [&a](std::size_t i) {
+    return a.row_len(static_cast<index_t>(i)) < 32;
+  };
   const auto rows = at(a.n_rows), cols = at(a.n_cols);
   const auto x = random_vector<double>(a.n_cols, 45);
   const auto ref = row_order(m, x);
+  std::vector<double> y_csr(rows, -1.0);
+  csr->spmv(x, y_csr);
+  EXPECT_TRUE(bit_equal(ref, y_csr, short_row)) << "csr";
   const double alpha = 1.5, beta = -0.75;
   for (int threads : {1, 4}) {
     SCOPED_TRACE(std::string(name) + " threads " + std::to_string(threads));
@@ -275,24 +298,47 @@ TEST_P(SpmvPresetsKernels, BitIdenticalToRowOrderReference) {
     for (int k : {1, 2, 3, 8, 9}) {
       const auto kk = static_cast<std::size_t>(k);
       const auto xb = random_vector<double>(a.n_cols * k, 47);
-      std::vector<double> yb(rows * kk, -1.0);
+      std::vector<double> yb(rows * kk, -1.0), yb_csr(rows * kk, -1.0);
       plan->spmmv(xb, yb, k, threads);
+      csr->spmmv(xb, yb_csr, k);
       for (std::size_t v = 0; v < kk; ++v) {
-        std::vector<double> xv(cols), yv(rows);
+        std::vector<double> xv(cols), yv(rows), yv_csr(rows);
         for (std::size_t i = 0; i < cols; ++i) xv[i] = xb[i * kk + v];
-        for (std::size_t i = 0; i < rows; ++i) yv[i] = yb[i * kk + v];
-        EXPECT_TRUE(bit_equal(row_order(m, xv), yv))
-            << "k " << k << " column " << v;
+        for (std::size_t i = 0; i < rows; ++i) {
+          yv[i] = yb[i * kk + v];
+          yv_csr[i] = yb_csr[i * kk + v];
+        }
+        const auto want_v = row_order(m, xv);
+        EXPECT_TRUE(bit_equal(want_v, yv)) << "k " << k << " column " << v;
+        EXPECT_TRUE(bit_equal(want_v, yv_csr, short_row))
+            << "csr k " << k << " column " << v;
       }
     }
   }
 }
 
+TEST(SpmvPresetsBasis, OnlyJdsAndRelabelledPlansReportAPermutation) {
+  const auto a = random_csr<double>(150, 150, 0, 14, 41);
+  const auto& reg = formats::registry<double>();
+  formats::PlanOptions relabel;
+  relabel.permute_columns = PermuteColumns::yes;
+  for (const char* name : kPresets)
+    EXPECT_EQ(reg.build(name, a)->permutation(), nullptr) << name;
+  for (const char* name : {"sell_c_sigma", "pjds"}) {
+    const auto plan = reg.build(name, a, relabel);
+    ASSERT_NE(plan->permutation(), nullptr) << name;
+    EXPECT_TRUE(plan->columns_permuted()) << name;
+  }
+  EXPECT_NE(reg.build("jds", a)->permutation(), nullptr);
+  EXPECT_FALSE(reg.build("jds", a)->columns_permuted());
+  EXPECT_NE(reg.build("jds", a, relabel)->permutation(), nullptr);
+}
+
 std::string kernel_case_name(
     const ::testing::TestParamInfo<std::tuple<int, const char*, int>>& info) {
-  static const char* const kNames[] = {"Random",    "AllRowsEmpty",
-                                       "DenseRow",  "FewerRowsThanC",
-                                       "NonSquare", "TiledEllpack"};
+  static const char* const kNames[] = {
+      "Random",    "AllRowsEmpty", "DenseRow", "FewerRowsThanC",
+      "NonSquare", "TiledEllpack", "Empty",    "Wide"};
   return std::string(kNames[std::get<0>(info.param)]) + "_" +
          std::get<1>(info.param) + "_C" +
          std::to_string(std::get<2>(info.param));
@@ -300,7 +346,7 @@ std::string kernel_case_name(
 
 // chunk = C (ELLPACK: the row padding); 32 is the registry default.
 INSTANTIATE_TEST_SUITE_P(Matrices, SpmvPresetsKernels,
-                         ::testing::Combine(::testing::Range(0, 6),
+                         ::testing::Combine(::testing::Range(0, 8),
                                             ::testing::ValuesIn(kPresets),
                                             ::testing::Values(1, 8, 32)),
                          kernel_case_name);
@@ -328,7 +374,9 @@ TEST(SpmvPresetsStorage, EllpackImageSpansSeveralTiles) {
 
 TEST(SpmvPresetsSim, EllpackEllpackRAndPjdsKeepTheirNumbers) {
   // Values of the former Ellpack / Pjds simulations on this matrix: the
-  // SELL simulation reproduces them exactly.
+  // SELL simulation reproduces them exactly. They were taken with the
+  // columns relabelled (the former registry default), so the plans are
+  // built that way; ELLPACK and ELLPACK-R do not sort and ignore it.
   struct Want {
     const char* format;
     bool fermi;
@@ -340,17 +388,27 @@ TEST(SpmvPresetsSim, EllpackEllpackRAndPjdsKeepTheirNumbers) {
       {"pjds", true, 61436, 154},       {"pjds", false, 146332, 154},
   };
   const auto a = random_csr<double>(333, 333, 0, 27, 2024);
+  formats::PlanOptions relabel;
+  relabel.permute_columns = PermuteColumns::yes;
   for (const Want& w : want) {
     SCOPED_TRACE(std::string(w.format) + (w.fermi ? " C2070" : " C1060"));
     const auto dev = w.fermi ? gpusim::DeviceSpec::tesla_c2070()
                              : gpusim::DeviceSpec::tesla_c1060();
-    const auto r = formats::registry<double>().build(w.format, a)->simulate(dev);
+    const auto r =
+        formats::registry<double>().build(w.format, a, relabel)->simulate(dev);
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->stats.dram_bytes(), w.dram_bytes);
     EXPECT_EQ(r->stats.warp_steps, w.warp_steps);
     EXPECT_EQ(r->stats.useful_lane_steps, 4495u);
     EXPECT_EQ(r->stats.useful_lane_steps, static_cast<std::uint64_t>(a.nnz()));
   }
+  // The default (Listing 2) basis gathers x through the original column
+  // labels: the same warp steps, but other RHS transactions on the
+  // C1060, which has no L2.
+  const auto listing2 = formats::registry<double>().build("pjds", a)->simulate(
+      gpusim::DeviceSpec::tesla_c1060());
+  EXPECT_EQ(listing2->stats.dram_bytes(), 146652u);
+  EXPECT_EQ(listing2->stats.warp_steps, 154u);
 }
 
 TEST(SpmvPresetsSim, EllpackRCountsRowLenPlainEllpackDoesNot) {
