@@ -30,6 +30,13 @@ template <class T>
 void DistMatrix<T>::build_plans(const formats::FormatRegistry<T>& registry,
                                 std::string_view format,
                                 const formats::PlanOptions& options) {
+  // The non-local product accumulates y += nonlocal · halo in place,
+  // which needs the format's fused kernel.
+  const auto* entry = registry.find(format);
+  SPMVM_REQUIRE(entry == nullptr || entry->info.native_axpby,
+                std::string("format '") + std::string(format) +
+                    "' has no fused y += A*x kernel; the non-local "
+                    "product accumulates in place");
   formats::PlanOptions opts = options;
   // Column relabeling never applies: the column spaces (owned block,
   // halo slots) are fixed by the exchange layout.

@@ -52,9 +52,10 @@ struct DistMatrix {
   std::shared_ptr<const formats::FormatPlan<T>> nonlocal_plan;
 
   /// (Re)build both kernel plans as `format`, columns never relabelled.
-  /// Throws for plans that report a row permutation (jds, or `auto`
-  /// when it picks jds): the halo exchange addresses vector blocks by
-  /// original row order.
+  /// Throws, before building, for formats without a fused y += A·x
+  /// kernel (jds, bellpack, auto): the non-local product accumulates in
+  /// place. Throws for plans that report a row permutation: the halo
+  /// exchange addresses vector blocks by original row order.
   void build_plans(const formats::FormatRegistry<T>& registry,
                    std::string_view format,
                    const formats::PlanOptions& options = {});

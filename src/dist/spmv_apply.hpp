@@ -6,10 +6,10 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "dist/dist_matrix.hpp"
 #include "exec/dispatch.hpp"
+#include "util/error.hpp"
 
 namespace spmvm::dist::detail {
 
@@ -24,8 +24,8 @@ inline void apply_local(const DistMatrix<T>& d, std::span<const T> x,
     exec::host_spmv(d.local, x, y);
 }
 
-/// y += nonlocal · halo (the non-local contribution). Plans without a
-/// native fused kernel apply and accumulate via a scratch vector.
+/// y += nonlocal · halo (the non-local contribution), through the plan's
+/// fused kernel (build_plans accepts only formats that have one).
 template <class T>
 inline void apply_nonlocal(const DistMatrix<T>& d, std::span<const T> halo,
                            std::span<T> y) {
@@ -34,10 +34,9 @@ inline void apply_nonlocal(const DistMatrix<T>& d, std::span<const T> halo,
     exec::host_spmv_axpby(d.nonlocal, halo, y, T{1}, T{1});
     return;
   }
-  if (exec::plan_spmv_axpby(*d.nonlocal_plan, halo, y, T{1}, T{1})) return;
-  std::vector<T> tmp(static_cast<std::size_t>(d.n_local));
-  exec::plan_spmv(*d.nonlocal_plan, halo, std::span<T>(tmp));
-  for (std::size_t i = 0; i < tmp.size(); ++i) y[i] += tmp[i];
+  const bool fused =
+      exec::plan_spmv_axpby(*d.nonlocal_plan, halo, y, T{1}, T{1});
+  SPMVM_REQUIRE(fused, "non-local plan has no fused y += A*x kernel");
 }
 
 }  // namespace spmvm::dist::detail

@@ -26,18 +26,4 @@ NamedMatrix make_named(const std::string& name, double scale,
   return {};
 }
 
-std::vector<NamedMatrix> table1_suite(double scale, std::uint64_t seed) {
-  std::vector<NamedMatrix> suite;
-  for (const char* name : {"DLR1", "DLR2", "HMEp", "sAMG"})
-    suite.push_back(make_named(name, scale, seed));
-  return suite;
-}
-
-std::vector<NamedMatrix> scaling_suite(double scale, std::uint64_t seed) {
-  std::vector<NamedMatrix> suite;
-  for (const char* name : {"DLR1", "UHBR"})
-    suite.push_back(make_named(name, scale, seed));
-  return suite;
-}
-
 }  // namespace spmvm

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "matgen/generators.hpp"
 #include "sparse/csr.hpp"
@@ -24,14 +23,6 @@ struct NamedMatrix {
   Csr<double> matrix;
   PaperRef paper;
 };
-
-/// The four Table I matrices (DLR1, DLR2, HMEp, sAMG) at the given scale.
-std::vector<NamedMatrix> table1_suite(double scale,
-                                      std::uint64_t seed = 0x5EED);
-
-/// The two strong-scaling matrices of Fig. 5 (DLR1, UHBR).
-std::vector<NamedMatrix> scaling_suite(double scale,
-                                       std::uint64_t seed = 0x5EED);
 
 /// Look up one matrix of the full suite by name (DLR1, DLR2, HMEp, sAMG,
 /// UHBR); throws spmvm::Error for unknown names.

@@ -1,18 +1,13 @@
 #include "obs/ledger.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <string_view>
-#include <thread>
 #include <tuple>
 
 #include "obs/metrics.hpp"
@@ -31,20 +26,11 @@ bool env_on(const char* name) {
   return v != nullptr && *v != '\0' && std::string_view(v) != "0";
 }
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
 /// All mutable ledger state under one mutex. Leaked on purpose so
 /// instrumented sites in static destructors stay safe.
 struct LedgerState {
   std::mutex m;
   RooflineSpec spec = RooflineSpec::from_env();
-  AnomalyOptions anomaly;
   std::map<std::tuple<int, std::string, std::string, int>, EffRecord>
       records;
   std::vector<ResidualPoint> residuals;
@@ -61,41 +47,6 @@ std::atomic<bool>& ledger_flag() {
   return *f;
 }
 
-// ---- periodic reporter ----------------------------------------------------
-
-struct Reporter {
-  std::mutex m;
-  std::condition_variable cv;
-  std::thread th;
-  bool stop = false;
-  bool running = false;
-};
-
-Reporter& reporter() {
-  static Reporter* r = new Reporter;
-  return *r;
-}
-
-void emit_snapshot(const std::string& path) {
-  publish_roofline_gauges();
-  if (path.empty()) {
-    const std::string text = roofline_table();
-    std::fputs(text.c_str(), stderr);
-    return;
-  }
-  std::ofstream out(path, std::ios::trunc);
-  if (out) out << roofline_json();
-}
-
-void maybe_autostart_reporter() {
-  const double interval = env_double("SPMVM_REPORT_INTERVAL", 0.0);
-  if (interval <= 0.0) return;
-  const char* p = std::getenv("SPMVM_REPORT_PATH");
-  start_reporter(interval, p != nullptr ? p : "");
-}
-
-// ---- anomaly detection ----------------------------------------------------
-
 std::string record_labels(const EffRecord& r) {
   std::string labels = "lane=";
   labels += to_string(r.lane);
@@ -108,45 +59,6 @@ std::string record_labels(const EffRecord& r) {
     labels += std::to_string(r.rank);
   }
   return labels;
-}
-
-/// Judge one sample's efficiency against the record's rolling baseline
-/// and update the baseline (obs/regress noise window: one-sided, an
-/// efficiency *drop* beyond max(rel_tol·mean, k·stddev) is anomalous).
-/// Anomalous samples are kept out of the baseline and re-firing is
-/// suppressed until the record recovers, so a sustained slowdown fires
-/// exactly once. Called under the ledger mutex.
-void observe_efficiency(EffRecord& r, double eff,
-                        const AnomalyOptions& opt) {
-  if (r.eff_n >= static_cast<std::uint64_t>(opt.warmup)) {
-    const double allowed =
-        std::max(opt.rel_tol * std::abs(r.eff_mean),
-                 opt.stddev_k * r.eff_stddev());
-    if (r.eff_mean - eff > allowed) {
-      if (!r.in_anomaly) {
-        r.in_anomaly = true;
-        ++r.anomalies;
-        set_metric_help("anomaly.total",
-                        "Efficiency drops beyond the rolling-baseline noise "
-                        "window, across all ledger records");
-        set_metric_help("anomaly.fired",
-                        "Efficiency drops beyond the rolling-baseline noise "
-                        "window, per lane/format/phase");
-        counter("anomaly.total").add();
-        counter("anomaly.fired{" + record_labels(r) + "}").add();
-        // Zero-length span event marking the drop in the trace.
-        SPMVM_TRACE_SPAN_NAMED(span, "obs/anomaly");
-        span.set_arg("efficiency", eff);
-        span.set_arg("baseline", r.eff_mean);
-      }
-      return;  // do not fold the anomalous sample into the baseline
-    }
-    r.in_anomaly = false;
-  }
-  ++r.eff_n;
-  const double d = eff - r.eff_mean;
-  r.eff_mean += d / static_cast<double>(r.eff_n);
-  r.eff_m2 += d * (eff - r.eff_mean);
 }
 
 // ---- JSON rendering -------------------------------------------------------
@@ -184,13 +96,6 @@ std::string jstr(const std::string& s) {
 // ---- enable / configuration ----------------------------------------------
 
 bool ledger_enabled() {
-  // First consultation also honors SPMVM_REPORT_INTERVAL (live
-  // snapshots want the reporter running before any sample lands).
-  static const bool autostarted = [] {
-    maybe_autostart_reporter();
-    return true;
-  }();
-  (void)autostarted;
   return ledger_flag().load(std::memory_order_relaxed);
 }
 
@@ -208,18 +113,6 @@ void set_roofline_spec(const RooflineSpec& spec) {
   LedgerState& s = state();
   std::lock_guard<std::mutex> lk(s.m);
   s.spec = spec;
-}
-
-AnomalyOptions anomaly_options() {
-  LedgerState& s = state();
-  std::lock_guard<std::mutex> lk(s.m);
-  return s.anomaly;
-}
-
-void set_anomaly_options(const AnomalyOptions& opt) {
-  LedgerState& s = state();
-  std::lock_guard<std::mutex> lk(s.m);
-  s.anomaly = opt;
 }
 
 // ---- EffRecord derived quantities -----------------------------------------
@@ -242,11 +135,6 @@ double EffRecord::efficiency() const {
 
 double EffRecord::mean_alpha() const {
   return calls > 0 ? alpha_sum / static_cast<double>(calls) : 0.0;
-}
-
-double EffRecord::eff_stddev() const {
-  return eff_n > 1 ? std::sqrt(eff_m2 / static_cast<double>(eff_n - 1))
-                   : 0.0;
 }
 
 std::string EffRecord::key() const {
@@ -287,8 +175,6 @@ void ledger_record(RoofLane lane, const char* format, const char* phase,
   r.nnz += static_cast<double>(work.nnz);
   r.alpha_sum += work.alpha;
   r.predicted_s += pred;
-  if (pred > 0.0 && seconds > 0.0)
-    observe_efficiency(r, pred / seconds, s.anomaly);
 }
 
 void ledger_residual(const char* solver, std::uint64_t iteration,
@@ -339,15 +225,15 @@ std::string roofline_table(const std::vector<EffRecord>& records) {
     return os.str();
   }
   AsciiTable t({"lane", "format", "phase", "rank", "calls", "GB/s", "GF/s",
-                "model GF/s", "eff %", "alpha", "anomalies"});
+                "model GF/s", "eff %", "alpha"});
   for (const EffRecord& r : records)
     t.add_row({to_string(r.lane), r.format, r.phase,
                r.rank < 0 ? std::string("-") : std::to_string(r.rank),
                std::to_string(r.calls), fmt(r.achieved_gbs(), 2),
                fmt(r.achieved_gflops(), 2), fmt(r.predicted_gflops(), 2),
                fmt(100.0 * r.efficiency(), 1),
-               r.alpha_sum > 0.0 ? fmt(r.mean_alpha(), 4) : std::string("-"),
-               std::to_string(r.anomalies)});
+               r.alpha_sum > 0.0 ? fmt(r.mean_alpha(), 4)
+                                 : std::string("-")});
   os << t.render();
   return os.str();
 }
@@ -380,8 +266,7 @@ std::string roofline_json() {
        << ", \"achieved_gbs\": " << jnum(r.achieved_gbs())
        << ", \"achieved_gflops\": " << jnum(r.achieved_gflops())
        << ", \"model_gflops\": " << jnum(r.predicted_gflops())
-       << ", \"efficiency\": " << jnum(r.efficiency())
-       << ", \"anomalies\": " << r.anomalies << "}";
+       << ", \"efficiency\": " << jnum(r.efficiency()) << "}";
     first = false;
   }
   os << (first ? "]" : "\n  ]") << ",\n  \"residuals\": [";
@@ -412,48 +297,6 @@ void publish_roofline_gauges() {
     gauge("roofline.efficiency" + labels).set(r.efficiency());
     gauge("roofline.achieved_gbs" + labels).set(r.achieved_gbs());
   }
-}
-
-// ---- periodic snapshot thread ---------------------------------------------
-
-void start_reporter(double interval_s, const std::string& path) {
-  stop_reporter();
-  // The reporter thread must not outlive main(): it touches the
-  // (leaked) ledger and metrics registries, but stdio teardown is not.
-  static std::once_flag atexit_once;
-  std::call_once(atexit_once, [] { std::atexit(stop_reporter); });
-  Reporter& r = reporter();
-  std::lock_guard<std::mutex> lk(r.m);
-  r.stop = false;
-  r.running = true;
-  r.th = std::thread([interval_s, path] {
-    set_thread_name("roofline reporter");
-    Reporter& rep = reporter();
-    std::unique_lock<std::mutex> lk(rep.m);
-    while (!rep.stop) {
-      rep.cv.wait_for(lk, std::chrono::duration<double>(interval_s),
-                      [&] { return rep.stop; });
-      lk.unlock();
-      // Emit on stop too: a run shorter than one interval still leaves
-      // its final snapshot behind (stop_reporter runs at process exit).
-      emit_snapshot(path);
-      lk.lock();
-    }
-  });
-}
-
-void stop_reporter() {
-  Reporter& r = reporter();
-  std::thread joinable;
-  {
-    std::lock_guard<std::mutex> lk(r.m);
-    if (!r.running) return;
-    r.stop = true;
-    r.running = false;
-    joinable = std::move(r.th);
-  }
-  r.cv.notify_all();
-  if (joinable.joinable()) joinable.join();
 }
 
 }  // namespace spmvm::obs

@@ -16,15 +16,6 @@
 //    (schema-versioned, fingerprinted like bench.json), and
 //    publish_roofline_gauges() → `roofline.efficiency{format=,phase=}`
 //    Prometheus gauges.
-//  - a periodic snapshot thread (start_reporter / SPMVM_REPORT_INTERVAL)
-//    emitting live ledger snapshots while a long run is in flight.
-//  - an online anomaly detector reusing the obs/regress noise window:
-//    each record keeps a rolling baseline (Welford) of its per-call
-//    efficiency; a sample whose efficiency drops below the baseline by
-//    more than max(rel_tol·mean, k·stddev) fires `anomaly.*` counters
-//    and an "obs/anomaly" span event. Anomalous samples do not enter
-//    the baseline and refiring is suppressed until the record recovers,
-//    so a sustained slowdown fires exactly once.
 #pragma once
 
 #include <cstdint>
@@ -48,18 +39,6 @@ void set_ledger_enabled(bool on);
 RooflineSpec roofline_spec();
 void set_roofline_spec(const RooflineSpec& spec);
 
-/// Online anomaly detector knobs — the same window shape as
-/// obs/RegressOptions: allowed = max(rel_tol·mean, k·stddev), judged
-/// one-sided (only an efficiency *drop* is an anomaly), after `warmup`
-/// baseline samples.
-struct AnomalyOptions {
-  int warmup = 8;
-  double rel_tol = 0.05;
-  double stddev_k = 3.0;
-};
-AnomalyOptions anomaly_options();
-void set_anomaly_options(const AnomalyOptions& opt);
-
 /// One folded efficiency record: every sample with the same
 /// {lane, format, phase, rank} key lands here.
 struct EffRecord {
@@ -76,13 +55,6 @@ struct EffRecord {
   double alpha_sum = 0.0;    // per-call α, mean_alpha() averages
   double predicted_s = 0.0;  // model lower bound, summed
 
-  // Rolling per-call efficiency baseline (Welford) + anomaly state.
-  std::uint64_t eff_n = 0;
-  double eff_mean = 0.0;
-  double eff_m2 = 0.0;
-  bool in_anomaly = false;
-  std::uint64_t anomalies = 0;
-
   double achieved_gbs() const;
   double achieved_gflops() const;
   double predicted_gflops() const;
@@ -90,7 +62,6 @@ struct EffRecord {
   /// record carries no prediction.
   double efficiency() const;
   double mean_alpha() const;
-  double eff_stddev() const;
   /// "lane/format/phase" or "lane/format/phase@rank".
   std::string key() const;
 };
@@ -159,7 +130,7 @@ void reset_ledger();
 
 // ---- exporters ------------------------------------------------------------
 
-inline constexpr int kRooflineSchemaVersion = 1;
+inline constexpr int kRooflineSchemaVersion = 2;
 
 /// ASCII roofline report: one row per record with achieved GB/s, GF/s,
 /// the model GF/s and the efficiency percentage.
@@ -175,17 +146,5 @@ std::string roofline_json();
 /// `roofline.achieved_gbs{...}` — the Prometheus exporter picks them up
 /// on the next scrape.
 void publish_roofline_gauges();
-
-// ---- periodic snapshot thread ---------------------------------------------
-
-/// Start (or restart) the reporter thread: every `interval_s` seconds
-/// it refreshes the roofline gauges and emits a snapshot — the JSON
-/// document to `path` (overwritten in place), or the ASCII table to
-/// stderr when `path` is empty. Auto-started when SPMVM_REPORT_INTERVAL
-/// is set (> 0 seconds; SPMVM_REPORT_PATH names the output file) the
-/// first time the ledger is consulted. Stopped via stop_reporter() or
-/// automatically at process exit.
-void start_reporter(double interval_s, const std::string& path = "");
-void stop_reporter();
 
 }  // namespace spmvm::obs

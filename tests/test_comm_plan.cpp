@@ -339,18 +339,24 @@ INSTANTIATE_TEST_SUITE_P(
                                          CommScheme::task_mode),
                        ::testing::Values("sell_c_sigma", "pjds")));
 
+// Formats without a fused y += A·x kernel are refused before anything is
+// built, and the error names the format; the rank keeps its CSR plans.
 TEST(CommPlan, BuildPlansRefusesJds) {
   const auto a = random_csr<double>(60, 60, 1, 6, 35);
   auto d = distribute(a, partition_balanced_nnz(a, 2), 0);
-  try {
-    d.build_plans(formats::registry<double>(), "jds");
-    FAIL() << "jds accepted";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "permutes rows; the halo exchange needs the original row "
-                  "order"),
-              std::string::npos)
-        << e.what();
+  const auto local_plan = d.local_plan;
+  for (const std::string format : {"jds", "bellpack", "auto"}) {
+    try {
+      d.build_plans(formats::registry<double>(), format);
+      ADD_FAILURE() << format << " accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("format '" + format + "' has no fused"),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_EQ(d.local_plan, local_plan) << format;
+    EXPECT_EQ(d.format_name, "csr") << format;
   }
 }
 

@@ -1,7 +1,6 @@
 // Roofline efficiency ledger: record folding and key algebra, the Eq. 1
 // efficiency cross-check against perfmodel::evaluate (the EXPERIMENTS.md
-// model-vs-sim deviation table), one-shot anomaly semantics on an
-// artificially slowed kernel, and the exporters (table / JSON /
+// model-vs-sim deviation table), and the exporters (table / JSON /
 // Prometheus gauges).
 #include "obs/ledger.hpp"
 
@@ -26,7 +25,7 @@ namespace spmvm {
 namespace {
 
 /// Enable the ledger for one test, from a clean slate, restoring the
-/// previous enable state (and default anomaly knobs) on exit.
+/// previous enable state on exit.
 class ScopedLedger {
  public:
   explicit ScopedLedger(bool on = true) : prev_(obs::ledger_enabled()) {
@@ -35,7 +34,6 @@ class ScopedLedger {
   }
   ~ScopedLedger() {
     obs::set_ledger_enabled(prev_);
-    obs::set_anomaly_options(obs::AnomalyOptions{});
     obs::reset_ledger();
   }
 
@@ -186,67 +184,6 @@ TEST(Ledger, GpusimEfficiencyMatchesPerfmodel) {
   EXPECT_NEAR(r->mean_alpha(), m.alpha_measured, 1e-12);
 }
 
-// ---- anomaly detection ----------------------------------------------------
-
-TEST(Ledger, SustainedSlowdownFiresExactlyOnce) {
-  ScopedLedger led;
-  obs::AnomalyOptions opt;
-  opt.warmup = 4;
-  obs::set_anomaly_options(opt);
-  obs::counter("anomaly.total").reset();
-
-  obs::WorkDesc w;
-  w.bytes = 1'000'000;
-  w.predicted_seconds = 0.5e-3;
-
-  // Warm the baseline at efficiency 0.5 ...
-  for (int i = 0; i < 8; ++i)
-    obs::ledger_record(obs::RoofLane::host, "slowed", "spmv", 1.0e-3, w);
-  EXPECT_EQ(obs::counter("anomaly.total").value(), 0u);
-
-  // ... then inject an artificially slowed kernel (efficiency 0.25,
-  // far outside max(rel_tol·mean, k·stddev)), sustained for many calls.
-  for (int i = 0; i < 16; ++i)
-    obs::ledger_record(obs::RoofLane::host, "slowed", "spmv", 2.0e-3, w);
-
-  EXPECT_EQ(obs::counter("anomaly.total").value(), 1u);
-  const std::vector<obs::EffRecord> snap = obs::ledger_snapshot();
-  const obs::EffRecord* r =
-      find_record(snap, obs::RoofLane::host, "slowed", "spmv");
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->anomalies, 1u);
-  EXPECT_TRUE(r->in_anomaly);
-  // Anomalous samples stayed out of the baseline.
-  EXPECT_NEAR(r->eff_mean, 0.5, 1e-12);
-
-  // Recovery clears the latch; a second sustained slowdown fires again.
-  for (int i = 0; i < 4; ++i)
-    obs::ledger_record(obs::RoofLane::host, "slowed", "spmv", 1.0e-3, w);
-  EXPECT_FALSE(find_record(obs::ledger_snapshot(), obs::RoofLane::host,
-                           "slowed", "spmv")
-                   ->in_anomaly);
-  for (int i = 0; i < 4; ++i)
-    obs::ledger_record(obs::RoofLane::host, "slowed", "spmv", 2.0e-3, w);
-  EXPECT_EQ(obs::counter("anomaly.total").value(), 2u);
-}
-
-TEST(Ledger, NoiseWithinWindowDoesNotFire) {
-  ScopedLedger led;
-  obs::AnomalyOptions opt;
-  opt.warmup = 4;
-  obs::set_anomaly_options(opt);
-  obs::counter("anomaly.total").reset();
-
-  obs::WorkDesc w;
-  w.predicted_seconds = 0.5e-3;
-  for (int i = 0; i < 8; ++i)
-    obs::ledger_record(obs::RoofLane::host, "noisy", "spmv", 1.0e-3, w);
-  // 2% slower: inside the rel_tol=5% window.
-  for (int i = 0; i < 8; ++i)
-    obs::ledger_record(obs::RoofLane::host, "noisy", "spmv", 1.02e-3, w);
-  EXPECT_EQ(obs::counter("anomaly.total").value(), 0u);
-}
-
 // ---- exporters ------------------------------------------------------------
 
 TEST(Ledger, RooflineJsonIsSchemaVersionedAndWellFormed) {
@@ -261,7 +198,7 @@ TEST(Ledger, RooflineJsonIsSchemaVersionedAndWellFormed) {
 
   const std::string json = obs::roofline_json();
   EXPECT_TRUE(json_well_formed(json));
-  EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"records\""), std::string::npos);
   EXPECT_NE(json.find("\"pjds\""), std::string::npos);
   EXPECT_NE(json.find("\"residuals\""), std::string::npos);

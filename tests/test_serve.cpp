@@ -608,6 +608,120 @@ TEST(Serve, CancellationBeforeLaunchIsHonored) {
   EXPECT_EQ(server.stats().cancelled, 1u);
 }
 
+TEST(Serve, CancelRacingTheBatchingWaitResolvesEveryTicketOnce) {
+  // One worker and a batching window far longer than the test, with the
+  // matrix's arrival gap primed short: a partial batch waits in
+  // wait_for_push until its k-th request arrives, and only then weeds
+  // out and launches. Each round opens a batch with j requests, lets a
+  // second thread cancel one of them after a varied delay, and closes
+  // the batch after another. The cancel lands during the wait, around
+  // the weed-out pass or after the launch. Every ticket must resolve
+  // exactly once, as cancelled or as a product bit-identical to a lone
+  // apply, and the server's counts must balance.
+  const index_t n = 48;
+  const auto a = random_csr<double>(n, n, 0, 7, 29);
+  ServerOptions opt;
+  opt.backend = "host";
+  opt.n_workers = 1;
+  opt.max_batch = 8;
+  opt.max_batch_wait_s = 5.0;
+  Server server(opt);
+  server.register_matrix("m", a);
+  const int k = server.batch_width("m");
+  ASSERT_GT(k, 1);
+
+  exec::Engine<double> engine;
+  const auto lone = engine.bind("host", a, "csr");
+  std::vector<std::vector<double>> xs, refs;
+  for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(k); ++i) {
+    xs.push_back(random_vector<double>(n, 700 + i));
+    refs.emplace_back(static_cast<std::size_t>(n));
+    lone->apply(xs.back(), refs.back());
+  }
+
+  std::uint64_t ok = 0, cancelled = 0, seen = 0;
+  // Every ticket of a round resolves before the next round opens, so
+  // each batch holds exactly one round's k requests.
+  const auto settle = [&](std::vector<Ticket>& tickets,
+                          const std::vector<bool>& must_cancel) {
+    for (std::size_t v = 0; v < tickets.size(); ++v) {
+      ASSERT_TRUE(tickets[v].wait_for(30.0)) << "ticket " << v;
+      const Response r = tickets[v].get();
+      ++seen;
+      if (r.status == RequestStatus::cancelled) {
+        ++cancelled;
+        EXPECT_TRUE(r.y.empty());
+        continue;
+      }
+      ASSERT_EQ(r.status, RequestStatus::ok) << to_string(r.status);
+      EXPECT_FALSE(must_cancel[v]) << "ticket " << v << " cancelled "
+                                   << "before its batch closed ran";
+      ++ok;
+      ASSERT_EQ(r.y.size(), refs[v].size());
+      for (std::size_t i = 0; i < r.y.size(); ++i)
+        ASSERT_EQ(r.y[i], refs[v][i]) << "ticket " << v << " row " << i;
+    }
+  };
+
+  // Prime the arrival gap with one full batch queued before start.
+  {
+    std::vector<Ticket> tickets;
+    for (const auto& x : xs) tickets.push_back(server.submit("m", x));
+    server.start();
+    settle(tickets, std::vector<bool>(xs.size(), false));
+  }
+
+  constexpr int kCancelDelaysUs[] = {0, 50, 200, 500, 1000, 2000};
+  constexpr int kCloseDelaysUs[] = {0, 300, 1000};
+  constexpr int kRounds = 36;
+  for (int round = 0; round < kRounds; ++round) {
+    const int j = 1 + round % (k - 1);  // requests that open the batch
+    const int cancel_us = kCancelDelaysUs[round % 6];
+    const int close_us = kCloseDelaysUs[(round / 6) % 3];
+    std::vector<Ticket> tickets;
+    std::vector<bool> must_cancel(static_cast<std::size_t>(k), false);
+    for (int v = 0; v < j; ++v)
+      tickets.push_back(
+          server.submit("m", xs[static_cast<std::size_t>(v)]));
+    Ticket target = tickets[static_cast<std::size_t>(round % j)];
+    std::thread canceller([target, cancel_us]() mutable {
+      std::this_thread::sleep_for(std::chrono::microseconds(cancel_us));
+      target.cancel();
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(close_us));
+    // A cancel that precedes the closing submit reaches the weed-out
+    // through the queue's mutex: it must win.
+    if (round % 2 == 0) {
+      tickets[static_cast<std::size_t>(j - 1)].cancel();
+      must_cancel[static_cast<std::size_t>(j - 1)] = true;
+    }
+    for (int v = j; v < k; ++v)
+      tickets.push_back(
+          server.submit("m", xs[static_cast<std::size_t>(v)]));
+    // The closing request's cancel races the weed-out pass directly;
+    // a yield first lets the woken worker get there ahead of it.
+    if (round % 2 == 1) {
+      if ((round / 2) % 2 == 1) std::this_thread::yield();
+      tickets.back().cancel();
+    }
+    canceller.join();
+    SCOPED_TRACE("round " + std::to_string(round));
+    settle(tickets, must_cancel);
+  }
+  server.shutdown();
+
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(cancelled, 0u);
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.accepted, seen);
+  EXPECT_EQ(s.completed, ok);
+  EXPECT_EQ(s.cancelled, cancelled);
+  EXPECT_EQ(s.timed_out + s.failed + s.rejected_full + s.rejected_shutdown +
+                s.rejected_invalid,
+            0u);
+  EXPECT_EQ(s.accepted, s.completed + s.cancelled);
+}
+
 TEST(Serve, DeadlineExpiryBeforeLaunchTimesOut) {
   ServerOptions opt;
   opt.n_workers = 1;
