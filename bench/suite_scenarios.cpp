@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -332,15 +334,52 @@ void run_dist_comm_modes(const SuiteConfig& cfg, obs::BenchReport& report) {
 
 // ---- dist_comm: functional halo exchange through the persistent plan -----
 
-/// Deterministic per-scheme traffic accounting (bytes and messages per
-/// iteration, gated in CI) plus an informational legacy-vs-plan timing
-/// comparison under dist_comm_time/ (not gated: wall-clock).
+/// CPU seconds of the calling thread.
+double thread_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Deterministic rank layout (halo, send lists, part sizes summed over
+/// ranks) and per-scheme traffic accounting (bytes and messages per
+/// iteration), both gated in CI, plus informational set-up CPU time
+/// under dist_setup_time/ and a legacy-vs-plan timing comparison under
+/// dist_comm_time/ (not gated: host timings).
 void run_dist_comm(const SuiteConfig& cfg, obs::BenchReport& report) {
   const double scale = cfg.smoke ? 64 : 16;
   const auto m = make_named("DLR1", scale);
   const int n_ranks = 4;
   const int iters = cfg.smoke ? 5 : 20;
   const auto part = dist::partition_balanced_nnz(m.matrix, n_ranks);
+
+  std::vector<double> setup_s(static_cast<std::size_t>(n_ranks));
+  double n_halo = 0, send_total = 0, local_nnz = 0, nonlocal_nnz = 0,
+         n_peers = 0;
+  std::mutex layout_mutex;
+  msg::Runtime::run(n_ranks, [&](msg::Comm& comm) {
+    const double t0 = thread_cpu_seconds();
+    const auto d = dist::distribute(m.matrix, part, comm.rank());
+    const dist::CommPlan<double> plan(comm, d, dist::CommScheme::vector_mode);
+    setup_s[static_cast<std::size_t>(comm.rank())] =
+        thread_cpu_seconds() - t0;
+    const std::lock_guard<std::mutex> lock(layout_mutex);
+    n_halo += static_cast<double>(d.n_halo);
+    send_total += static_cast<double>(d.send_total());
+    local_nnz += static_cast<double>(d.local.nnz());
+    nonlocal_nnz += static_cast<double>(d.nonlocal.nnz());
+    n_peers += d.n_peers();
+  });
+  report.entries.push_back(obs::summarize_samples(
+      "dist_layout/DLR1", {},
+      {{"n_halo", n_halo},
+       {"send_total", send_total},
+       {"local_nnz", local_nnz},
+       {"nonlocal_nnz", nonlocal_nnz},
+       {"n_peers", n_peers}}));
+  report.entries.push_back(obs::summarize_samples(
+      "dist_setup_time/DLR1", setup_s, {{"ranks", n_ranks}}));
 
   const std::vector<dist::CommScheme> schemes = {
       dist::CommScheme::vector_mode, dist::CommScheme::naive_overlap,

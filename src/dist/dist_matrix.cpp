@@ -1,7 +1,7 @@
 #include "dist/dist_matrix.hpp"
 
-#include <algorithm>
-#include <map>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -88,6 +88,7 @@ DistMatrix<T> distribute(const Csr<T>& a, const RowPartition& part,
                 "distributed spMVM expects a square matrix");
   SPMVM_REQUIRE(part.n_rows() == a.n_rows, "partition does not cover matrix");
   SPMVM_REQUIRE(rank >= 0 && rank < part.n_parts(), "rank out of range");
+  const auto at = [](auto i) { return static_cast<std::size_t>(i); };
 
   DistMatrix<T> d;
   d.rank = rank;
@@ -96,68 +97,82 @@ DistMatrix<T> distribute(const Csr<T>& a, const RowPartition& part,
   const index_t row0 = part.begin(rank);
   const index_t row1 = part.end(rank);
   d.n_local = row1 - row0;
+  const auto owned = [&](index_t c) { return c >= row0 && c < row1; };
 
-  // Pass 1: find all non-owned columns referenced by my rows.
-  std::vector<index_t> needed;
-  for (index_t i = row0; i < row1; ++i)
-    for (offset_t k = a.row_ptr[static_cast<std::size_t>(i)];
-         k < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const index_t c = a.col_idx[static_cast<std::size_t>(k)];
-      if (c < row0 || c >= row1) needed.push_back(c);
-    }
-  std::sort(needed.begin(), needed.end());
-  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
-
-  // Halo layout: `needed` is sorted by global index, hence already grouped
-  // by owning rank (contiguous row blocks own contiguous index ranges).
-  d.n_halo = static_cast<index_t>(needed.size());
-  d.halo_global = needed;
-  d.recv_offset.assign(static_cast<std::size_t>(d.n_parts), 0);
-  d.recv_count.assign(static_cast<std::size_t>(d.n_parts), 0);
-  std::map<index_t, index_t> halo_slot;  // global col -> halo index
-  for (index_t h = 0; h < d.n_halo; ++h) {
-    halo_slot[needed[static_cast<std::size_t>(h)]] = h;
-    d.recv_count[static_cast<std::size_t>(
-        part.owner(needed[static_cast<std::size_t>(h)]))]++;
-  }
-  index_t acc = 0;
-  for (int p = 0; p < d.n_parts; ++p) {
-    d.recv_offset[static_cast<std::size_t>(p)] = acc;
-    acc += d.recv_count[static_cast<std::size_t>(p)];
-  }
-
-  // Pass 2: split my rows into local and non-local parts.
-  Coo<T> local_coo(d.n_local, d.n_local);
-  Coo<T> nonlocal_coo(d.n_local, std::max<index_t>(d.n_halo, 0));
-  for (index_t i = row0; i < row1; ++i)
-    for (offset_t k = a.row_ptr[static_cast<std::size_t>(i)];
-         k < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const index_t c = a.col_idx[static_cast<std::size_t>(k)];
-      const T v = a.val[static_cast<std::size_t>(k)];
-      if (c >= row0 && c < row1) {
-        local_coo.add(i - row0, c - row0, v);
+  // Pass 1: one walk over my rows appends every entry to its part in
+  // input order, a local one with its owned column (c - row0), a
+  // non-local one with its global column until pass 2 assigns its slot.
+  Csr<T>& local = d.local;
+  Csr<T>& nonlocal = d.nonlocal;
+  local.n_rows = local.n_cols = nonlocal.n_rows = d.n_local;
+  local.row_ptr.assign(at(d.n_local) + 1, 0);
+  nonlocal.row_ptr.assign(at(d.n_local) + 1, 0);
+  const offset_t mine = a.row_ptr[at(row1)] - a.row_ptr[at(row0)];
+  local.col_idx.reserve(at(mine));
+  local.val.reserve(at(mine));
+  for (index_t i = row0; i < row1; ++i) {
+    index_t prev = -1;
+    for (offset_t k = a.row_ptr[at(i)]; k < a.row_ptr[at(i) + 1]; ++k) {
+      const index_t c = a.col_idx[at(k)];
+      SPMVM_REQUIRE(c > prev, "row " + std::to_string(i) +
+                                  ": columns must be in range and "
+                                  "strictly increasing");
+      prev = c;
+      if (owned(c)) {
+        local.col_idx.push_back(c - row0);
+        local.val.push_back(a.val[at(k)]);
       } else {
-        nonlocal_coo.add(i - row0, halo_slot.at(c), v);
+        nonlocal.col_idx.push_back(c);
+        nonlocal.val.push_back(a.val[at(k)]);
       }
     }
-  d.local = Csr<T>::from_coo(std::move(local_coo));
-  d.nonlocal = Csr<T>::from_coo(std::move(nonlocal_coo));
+    SPMVM_REQUIRE(prev < a.n_cols, "row " + std::to_string(i) +
+                                       ": column index out of range");
+    local.row_ptr[at(i - row0) + 1] = static_cast<offset_t>(local.val.size());
+    nonlocal.row_ptr[at(i - row0) + 1] =
+        static_cast<offset_t>(nonlocal.val.size());
+  }
 
-  // Pass 3 (global knowledge): what every other rank needs from me is what
-  // I must send — the same scan run from the peer's perspective.
-  d.send_idx.assign(static_cast<std::size_t>(d.n_parts), {});
+  // Pass 2: the halo is my non-local columns in ascending order, hence
+  // grouped by owner (row blocks own contiguous column ranges). A slot
+  // array over all columns marks them, numbers them owner by owner, and
+  // gives each non-local entry its slot; slots ascend within a row like
+  // the columns do.
+  constexpr index_t kUnused = -1;
+  std::vector<index_t> slot(at(a.n_cols), kUnused);
+  for (const index_t c : nonlocal.col_idx) slot[at(c)] = 0;
+  d.recv_offset.resize(at(d.n_parts));
+  d.recv_count.resize(at(d.n_parts));
+  for (int p = 0; p < d.n_parts; ++p) {
+    d.recv_offset[at(p)] = d.n_halo;
+    for (index_t c = part.begin(p); c < part.end(p); ++c)
+      if (slot[at(c)] != kUnused) {
+        slot[at(c)] = d.n_halo++;
+        d.halo_global.push_back(c);
+      }
+    d.recv_count[at(p)] = d.n_halo - d.recv_offset[at(p)];
+  }
+  nonlocal.n_cols = d.n_halo;
+  for (index_t& c : nonlocal.col_idx) c = slot[at(c)];
+
+  // Pass 3 (global knowledge): what peer p needs from me is what I send
+  // it. One walk over p's entries marks the owned columns it reads; the
+  // marks, read in order, are the ascending send list.
+  d.send_idx.assign(at(d.n_parts), {});
+  std::vector<unsigned char> wanted(at(d.n_local), 0);
   for (int p = 0; p < d.n_parts; ++p) {
     if (p == rank) continue;
-    std::vector<index_t> wanted;
-    for (index_t i = part.begin(p); i < part.end(p); ++i)
-      for (offset_t k = a.row_ptr[static_cast<std::size_t>(i)];
-           k < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-        const index_t c = a.col_idx[static_cast<std::size_t>(k)];
-        if (c >= row0 && c < row1) wanted.push_back(c - row0);
+    for (offset_t k = a.row_ptr[at(part.begin(p))];
+         k < a.row_ptr[at(part.end(p))]; ++k) {
+      const index_t c = a.col_idx[at(k)];
+      if (owned(c)) wanted[at(c - row0)] = 1;
+    }
+    auto& send = d.send_idx[at(p)];
+    for (index_t j = 0; j < d.n_local; ++j)
+      if (wanted[at(j)] != 0) {
+        send.push_back(j);
+        wanted[at(j)] = 0;
       }
-    std::sort(wanted.begin(), wanted.end());
-    wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
-    d.send_idx[static_cast<std::size_t>(p)] = std::move(wanted);
   }
   d.build_plans(formats::registry<T>(), "csr");
   return d;

@@ -67,9 +67,11 @@ struct DistMatrix {
   void validate() const;
 };
 
-/// Build rank `rank`'s view from the (replicated) global matrix. The send
-/// lists are derived from global knowledge; distribute_with_comm below
-/// produces the same result using only message exchange.
+/// Build rank `rank`'s view from the (replicated) global matrix; the send
+/// lists are derived from global knowledge. Precondition (Csr::validate's
+/// rule): in each of the rank's rows, columns are in range and strictly
+/// increase; the parts keep that order. Throws spmvm::Error naming the
+/// first row that breaks it.
 template <class T>
 DistMatrix<T> distribute(const Csr<T>& a, const RowPartition& part, int rank);
 

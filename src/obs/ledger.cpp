@@ -47,20 +47,6 @@ std::atomic<bool>& ledger_flag() {
   return *f;
 }
 
-std::string record_labels(const EffRecord& r) {
-  std::string labels = "lane=";
-  labels += to_string(r.lane);
-  labels += ",format=";
-  labels += r.format;
-  labels += ",phase=";
-  labels += r.phase;
-  if (r.rank >= 0) {
-    labels += ",rank=";
-    labels += std::to_string(r.rank);
-  }
-  return labels;
-}
-
 // ---- JSON rendering -------------------------------------------------------
 
 std::string jnum(double v) {
@@ -280,23 +266,6 @@ std::string roofline_json() {
   }
   os << (first ? "]" : "\n  ]") << "\n}\n";
   return os.str();
-}
-
-void publish_roofline_gauges() {
-  set_metric_help("roofline.efficiency",
-                  "Achieved fraction of the model-predicted roof "
-                  "(Eq. 1 code balance for kernels, link bandwidth for "
-                  "transfers) per lane/format/phase");
-  set_metric_help("roofline.achieved_gbs",
-                  "Measured memory/link bandwidth per lane/format/phase "
-                  "in GB/s");
-  for (const EffRecord& r : ledger_snapshot()) {
-    std::string labels = "{";
-    labels += record_labels(r);
-    labels += "}";
-    gauge("roofline.efficiency" + labels).set(r.efficiency());
-    gauge("roofline.achieved_gbs" + labels).set(r.achieved_gbs());
-  }
 }
 
 }  // namespace spmvm::obs

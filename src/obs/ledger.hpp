@@ -12,10 +12,8 @@
 // records nothing. Enable with SPMVM_ROOFLINE=1 or set_ledger_enabled.
 //
 // On top of the records:
-//  - exporters: roofline_table() (ASCII), roofline_json()
-//    (schema-versioned, fingerprinted like bench.json), and
-//    publish_roofline_gauges() → `roofline.efficiency{format=,phase=}`
-//    Prometheus gauges.
+//  - exporters: roofline_table() (ASCII) and roofline_json()
+//    (schema-versioned, fingerprinted like bench.json).
 #pragma once
 
 #include <cstdint>
@@ -140,11 +138,5 @@ std::string roofline_table(const std::vector<EffRecord>& records);
 /// Schema-versioned JSON document: {"schema_version", "metadata"
 /// (machine fingerprint, like bench.json), "records", "residuals"}.
 std::string roofline_json();
-
-/// Publish per-record gauges into the metrics registry:
-/// `roofline.efficiency{lane=,format=,phase=[,rank=]}` and
-/// `roofline.achieved_gbs{...}` — the Prometheus exporter picks them up
-/// on the next scrape.
-void publish_roofline_gauges();
 
 }  // namespace spmvm::obs

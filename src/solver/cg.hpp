@@ -1,6 +1,6 @@
 // Conjugate Gradient — the archetypal "sparse solver dominated by spMVM"
-// the paper's introduction motivates, including the pJDS variant that
-// iterates entirely in the permuted basis.
+// the paper's introduction motivates, on an operator or through any
+// registered storage format (e.g. "pjds", iterating in its basis).
 #pragma once
 
 #include "solver/operator.hpp"
@@ -29,13 +29,6 @@ CgResult cg_with_format(const Csr<T>& a, std::span<const T> b, std::span<T> x,
                         std::string_view format, double tol = 1e-10,
                         int max_iterations = 1000,
                         const formats::PlanOptions& options = {});
-
-/// The paper's recommended pairing: CG in the pJDS permuted basis.
-template <class T>
-CgResult cg_pjds(const Csr<T>& a, std::span<const T> b, std::span<T> x,
-                 double tol = 1e-10, int max_iterations = 1000) {
-  return cg_with_format(a, b, x, "pjds", tol, max_iterations);
-}
 
 #define SPMVM_EXTERN_CG(T)                                             \
   extern template CgResult cg(const Operator<T>&, std::span<const T>,  \

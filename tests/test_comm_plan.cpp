@@ -13,6 +13,7 @@
 #include <mutex>
 #include <new>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "matgen/generators.hpp"
@@ -284,7 +285,7 @@ TEST(CommPlan, RebuildAfterFormatSwitch) {
 /// CommPlan result with both kernel plans built as `format`.
 std::vector<double> run_plan(const Csr<double>& a, int n_ranks,
                              CommScheme scheme, const std::vector<double>& x,
-                             const char* format) {
+                             std::string_view format) {
   const auto part = partition_balanced_nnz(a, n_ranks);
   std::vector<double> y(static_cast<std::size_t>(a.n_rows), -1.0);
   std::mutex m;
@@ -306,7 +307,7 @@ std::vector<double> run_plan(const Csr<double>& a, int n_ranks,
 
 class CommPlanSortedSell
     : public ::testing::TestWithParam<
-          std::tuple<int, CommScheme, const char*>> {};
+          std::tuple<int, CommScheme, std::string>> {};
 
 // The sorted presets write each part's rows straight back to their
 // original slots, so the halo layout holds and both parts sum every row
@@ -337,7 +338,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(CommScheme::vector_mode,
                                          CommScheme::naive_overlap,
                                          CommScheme::task_mode),
-                       ::testing::Values("sell_c_sigma", "pjds")));
+                       ::testing::Values(std::string("sell_c_sigma"),
+                                         std::string("pjds"))));
 
 // Formats without a fused y += A·x kernel are refused before anything is
 // built, and the error names the format; the rank keeps its CSR plans.

@@ -219,23 +219,6 @@ TEST(Ledger, RooflineTableListsRecords) {
   EXPECT_NE(table.find("transfer"), std::string::npos);
 }
 
-TEST(Ledger, PublishedGaugesReachPrometheus) {
-  ScopedLedger led;
-  obs::WorkDesc w;
-  w.bytes = 1'000'000;
-  w.predicted_seconds = 1e-4;
-  obs::ledger_record(obs::RoofLane::net, "task_mode", "sends", 2e-4, w);
-  obs::publish_roofline_gauges();
-
-  auto& g = obs::gauge(
-      "roofline.efficiency{lane=net,format=task_mode,phase=sends}");
-  EXPECT_NEAR(g.value(), 0.5, 1e-12);
-
-  const std::string text = obs::prometheus_text();
-  EXPECT_NE(text.find("spmvm_roofline_efficiency{"), std::string::npos);
-  EXPECT_NE(text.find("# HELP spmvm_roofline_efficiency"), std::string::npos);
-}
-
 TEST(Ledger, ResidualSeriesKeepsOrderAndTimestamps) {
   ScopedLedger led;
   obs::ledger_residual("bicgstab", 1, 1.0);

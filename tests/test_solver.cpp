@@ -81,8 +81,9 @@ TEST(Cg, PjdsVariantMatchesCsrSolution) {
   const auto a = std::make_shared<const Csr<double>>(csr);
   const auto rc = cg(make_operator<double>(a), std::span<const double>(b),
                      std::span<double>(x_csr), 1e-12, 2000);
-  const auto rp = cg_pjds(csr, std::span<const double>(b),
-                          std::span<double>(x_pjds), 1e-12, 2000);
+  const auto rp = cg_with_format(csr, std::span<const double>(b),
+                                 std::span<double>(x_pjds), "pjds", 1e-12,
+                                 2000);
   EXPECT_TRUE(rc.converged);
   EXPECT_TRUE(rp.converged);
   spmvm::testing::expect_vectors_near<double>(x_csr, x_pjds, 1e-7);
@@ -94,8 +95,8 @@ TEST(Cg, PjdsUsesNontrivialPermutation) {
   const auto banded = make_banded<double>(300, 6);
   const auto b = random_vector<double>(300, 4);
   std::vector<double> x(300, 0.0);
-  const auto r = cg_pjds(banded, std::span<const double>(b),
-                         std::span<double>(x), 1e-10, 3000);
+  const auto r = cg_with_format(banded, std::span<const double>(b),
+                                std::span<double>(x), "pjds", 1e-10, 3000);
   EXPECT_TRUE(r.converged);
   std::vector<double> ax(300);
   spmv(banded, std::span<const double>(x), std::span<double>(ax));
