@@ -145,8 +145,7 @@ void run_auto_format(const SuiteConfig& cfg, obs::BenchReport& report) {
     const double sample[] = {chosen_s};
     report.entries.push_back(obs::summarize_samples(
         std::string("auto/") + it.name, sample,
-        {{"alpha_measured", c.alpha_measured},
-         {"chosen_index", static_cast<double>(c.chosen_index)},
+        {{"chosen_index", static_cast<double>(c.chosen_index)},
          {"model_index", static_cast<double>(c.model_index)},
          {"model_agrees", c.chosen_index == c.model_index ? 1.0 : 0.0},
          {"model_vs_measured_pct", gap_pct}}));
@@ -157,10 +156,10 @@ void run_auto_format(const SuiteConfig& cfg, obs::BenchReport& report) {
 
 // ---- auto_model: the model half of `auto`, gated in CI ---------------------
 
-/// `auto` with the probe off: α, the Eq. 1 balance of every candidate
-/// and the model's pick, all deterministic. The sample is the pick's
-/// Eq. 1 time for one product on the Tesla C2070 (ECC on), so a change
-/// to any footprint formula or to α shows in the gate.
+/// `auto` with the probe off: the Eq. 1 balance of every candidate at
+/// α = 1/N_nzr and the model's pick, all deterministic. The sample is
+/// the pick's Eq. 1 time for one product on the Tesla C2070 (ECC on), so
+/// a change to any footprint formula shows in the gate.
 void run_auto_model(const SuiteConfig& cfg, obs::BenchReport& report) {
   const double bw = gpusim::DeviceSpec::tesla_c2070().bandwidth_bytes(true);
   for (const DevItem& it : kDevItems) {
@@ -171,7 +170,6 @@ void run_auto_model(const SuiteConfig& cfg, obs::BenchReport& report) {
     const formats::AutoChoice c =
         formats::choose_format(formats::registry<double>(), a, opt);
     std::vector<std::pair<std::string, double>> counters = {
-        {"alpha_measured", c.alpha_measured},
         {"model_index", static_cast<double>(c.model_index)}};
     for (const formats::AutoCandidate& k : c.candidates)
       counters.emplace_back("balance." + k.name, k.balance);

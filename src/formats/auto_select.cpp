@@ -4,7 +4,6 @@
 #include <numeric>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "formats/registry.hpp"
@@ -61,22 +60,6 @@ class AutoPlan final : public FormatPlan<T> {
   const FormatInfo* info_;
 };
 
-/// The candidate whose simulated kernel measures α: ELLPACK-R is the
-/// designated reference (the kernel Eq. 1 was written for); the first
-/// sim-capable candidate serves as fallback so a trimmed-down registry
-/// still works.
-template <class T>
-std::optional<std::size_t> alpha_reference(
-    const std::vector<const typename FormatRegistry<T>::Entry*>& entries) {
-  std::optional<std::size_t> fallback;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (!entries[i]->info.has_sim_kernel) continue;
-    if (std::string_view(entries[i]->info.name) == "ellpack_r") return i;
-    if (!fallback) fallback = i;
-  }
-  return fallback;
-}
-
 }  // namespace
 
 template <class T>
@@ -96,26 +79,16 @@ AutoChoice choose_format(const FormatRegistry<T>& reg, const Csr<T>& a,
   }
   SPMVM_REQUIRE(!entries.empty(), "format registry has no concrete formats");
 
-  // Index-aligned with `entries`; only the α reference and the probed
-  // candidates are ever built.
-  std::vector<std::shared_ptr<const FormatPlan<T>>> plans(entries.size());
-  const auto build = [&](std::size_t i) -> const FormatPlan<T>& {
-    if (!plans[i]) plans[i] = entries[i]->builder(a, opts, entries[i]->info);
-    return *plans[i];
-  };
-
-  // α once per matrix, from the simulator's L2 model walked with the
-  // reference kernel; 1 is Eq. 1's worst case when nothing can simulate.
-  const std::optional<std::size_t> ref = alpha_reference<T>(entries);
-  choice.alpha_measured =
-      ref ? build(*ref)
-                .simulate(gpusim::DeviceSpec::tesla_c2070())
-                ->stats.measured_alpha(sizeof(T))
-          : 1.0;
+  // Eq. 1 charges every format of one matrix the same RHS term, s·α
+  // bytes per non-zero, so α cannot reorder the ranking: equal stored
+  // bytes give bit-equal balances, and byte counts a byte or more apart
+  // stay apart through the rounded sum and the division by 2·nnz. The
+  // ideal α = 1/N_nzr is the one the serve batcher prices with.
+  const double alpha = perfmodel::alpha_ideal(a.avg_row_len());
   for (std::size_t i = 0; i < entries.size(); ++i)
     choice.candidates[i].balance = perfmodel::code_balance_stored(
         sizes[i].total_bytes(sizeof(T)), static_cast<std::size_t>(a.nnz()),
-        static_cast<std::size_t>(a.n_rows), sizeof(T), choice.alpha_measured);
+        static_cast<std::size_t>(a.n_rows), sizeof(T), alpha);
 
   // Model ranking; stable sort keeps registry order on exact ties, so
   // the model-only path is fully deterministic.
@@ -127,39 +100,51 @@ AutoChoice choose_format(const FormatRegistry<T>& reg, const Csr<T>& a,
   choice.model_index = order.front();
   choice.chosen_index = choice.model_index;
 
-  // The top k are probed; without a probe the model winner alone is
-  // built. The α reference is freed first unless it is one of them.
+  // Only the top k are built: the probed candidates, or the model winner
+  // alone without a probe. Index-aligned with `entries`.
   std::size_t k = 1;
-  if (opts.probe)
+  if (opts.probe) {
+    SPMVM_REQUIRE(opts.probe_reps >= 1, "auto probe needs at least 1 rep");
+    SPMVM_REQUIRE(opts.probe_min_seconds >= 0.0,
+                  "negative auto probe duration");
     k = opts.probe_candidates <= 0
             ? order.size()
             : std::min<std::size_t>(
                   static_cast<std::size_t>(opts.probe_candidates),
                   order.size());
+  }
   const std::span<const std::size_t> top(order.data(), k);
-  if (ref && std::find(top.begin(), top.end(), *ref) == top.end())
-    plans[*ref].reset();
-  for (const std::size_t i : top) build(i);
+  std::vector<std::shared_ptr<const FormatPlan<T>>> plans(entries.size());
+  for (const std::size_t i : top)
+    plans[i] = entries[i]->builder(a, opts, entries[i]->info);
 
   if (opts.probe) {
     std::vector<T> x(static_cast<std::size_t>(a.n_cols), T{1});
     std::vector<T> y(static_cast<std::size_t>(a.n_rows));
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t i = order[j];
-      const MeasureStats s = measure_seconds_stats(
-          opts.probe_min_seconds, opts.probe_reps, [&] {
-            plans[i]->spmv(std::span<const T>(x), std::span<T>(y),
-                           opts.probe_threads);
-          });
-      choice.candidates[i].probe_seconds = s.min_seconds;
-    }
+    const auto product = [&](std::size_t i) {
+      plans[i]->spmv(std::span<const T>(x), std::span<T>(y),
+                     opts.probe_threads);
+    };
+    // One warm-up product each, then rounds that time one product of
+    // every candidate in turn, so host drift lands on all of them alike;
+    // each keeps its fastest.
+    for (const std::size_t i : top) product(i);
+    const Timer total;
+    const double budget = opts.probe_min_seconds * static_cast<double>(k);
+    for (int round = 0; round < opts.probe_reps || total.seconds() < budget;
+         ++round)
+      for (const std::size_t i : top) {
+        const Timer t;
+        product(i);
+        const double s = t.seconds();
+        double& fastest = choice.candidates[i].probe_seconds;
+        if (fastest < 0.0 || s < fastest) fastest = s;
+      }
     std::size_t best = choice.chosen_index;
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t i = order[j];
+    for (const std::size_t i : top)
       if (choice.candidates[i].probe_seconds <
           choice.candidates[best].probe_seconds)
         best = i;
-    }
     choice.chosen_index = best;
   }
 
@@ -176,7 +161,6 @@ std::unique_ptr<FormatPlan<T>> make_auto_plan(const FormatRegistry<T>& reg,
   std::shared_ptr<const FormatPlan<T>> chosen;
   AutoChoice choice = choose_format(reg, a, opts, &chosen);
 
-  obs::gauge("formats.auto.alpha_measured").set(choice.alpha_measured);
   obs::gauge("formats.auto.chosen_index")
       .set(static_cast<double>(choice.chosen_index));
   obs::gauge("formats.auto.model_index")

@@ -5,19 +5,16 @@
 //   1. Size every registered concrete format from the CSR with its
 //      registry sizer: the bytes its plan would store, from the
 //      builder's own layout step, without building it.
-//   2. Measure α (the Eq. 1 RHS re-load factor) once per matrix with the
-//      kernel simulator's L2 model on one built reference plan — α is a
-//      property of the matrix' column structure, not of the storage
-//      format.
-//   3. Rank the formats by the generalized Eq. 1 code balance at that α
+//   2. Rank the formats by the generalized Eq. 1 code balance
 //      (perfmodel::code_balance_stored over the sized footprint, so zero
-//      fill and metadata count).
-//   4. Optionally confirm with a short measured host probe of the top
-//      candidates (measure_seconds_stats); the probed minimum wins.
-// Only the α reference and the probed candidates (the model winner
-// alone without a probe) are built. With probing disabled the selection
-// is bit-deterministic: the simulator is exact and ties break by
-// registry order.
+//      fill and metadata count) at the ideal α = 1/N_nzr. Eq. 1 charges
+//      every format of one matrix the same RHS term, s·α, so the ranking
+//      is the same at any α and nothing is simulated.
+//   3. Optionally confirm with a short measured host probe of the top
+//      candidates, timed in interleaved rounds; the fastest wins.
+// Only the probed candidates (the model winner alone without a probe)
+// are built. With probing disabled the selection is bit-deterministic:
+// the sizes are exact and ties break by registry order.
 #pragma once
 
 #include <memory>
@@ -30,10 +27,12 @@ template <class T>
 class FormatRegistry;
 
 /// Run the selection policy over every registry entry with a sizer
-/// (AutoChoice::candidates, registry order). Builds the α reference
-/// (`ellpack_r`, else the first sim-capable candidate) and the probed
+/// (AutoChoice::candidates, registry order). Builds only the probed
 /// candidates: the top `probe_candidates` by model balance (every one
-/// when <= 0), or the model winner alone when `probe` is off. When
+/// when <= 0), or the model winner alone when `probe` is off. The probe
+/// warms each candidate once, then times one product of each per round
+/// until every one has `probe_reps` samples and the rounds have taken
+/// `probe_min_seconds` per candidate; each keeps its minimum. When
 /// `chosen` is non-null the winning plan is returned through it.
 template <class T>
 AutoChoice choose_format(const FormatRegistry<T>& reg, const Csr<T>& a,

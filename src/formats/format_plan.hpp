@@ -69,14 +69,13 @@ struct PlanOptions {
 
 struct AutoCandidate {
   std::string name;
-  double balance = 0.0;         // Eq. 1 bytes/flop at measured α
+  double balance = 0.0;         // Eq. 1 bytes/flop at α = 1/N_nzr
   double probe_seconds = -1.0;  // min-of-reps host probe; -1 = not probed
 };
 
 /// Selection record of the `auto` plan (auto_select.hpp).
 struct AutoChoice {
   std::string chosen;
-  double alpha_measured = 0.0;          // α from the simulator's L2 model
   std::vector<AutoCandidate> candidates;  // registry order
   /// Index of `chosen` within `candidates`.
   std::size_t chosen_index = 0;

@@ -156,7 +156,7 @@ void register_builtins(FormatRegistry<T>& reg) {
                       &size_sell<T, &pjds_preset<T>>);
   // No sizer: `auto` delegates to a format it picks and is never a
   // candidate itself.
-  reg.register_format({"auto", "Eq. 1 ranking at measured alpha + probe",
+  reg.register_format({"auto", "Eq. 1 ranking by stored bytes + probe",
                        true, false, false},
                       &build_auto<T>);
 }

@@ -17,7 +17,7 @@
 //   sell_c_sigma sliced ELLPACK with windowed sort (SELL-C-σ)
 //   bellpack     blocked ELLPACK, dense block_r × block_c tiles
 //   pjds         the paper's padded JDS (Sec. II-A)
-//   auto         Eq. 1 ranking at measured α + measured probe
+//   auto         Eq. 1 ranking by stored bytes + measured probe
 //
 // ellpack, ellpack_r, sliced_ell, sell_c_sigma and pjds are presets of
 // one SELL-C-σ storage (sparse/sliced_ell.hpp) with one SlicedEllPlan.

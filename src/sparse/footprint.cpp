@@ -1,8 +1,7 @@
 #include "sparse/footprint.hpp"
 
-#include <algorithm>
-#include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -82,15 +81,14 @@ Footprint sliced_ell_size(const Csr<T>& a, index_t slice_height,
   std::vector<index_t> len(static_cast<std::size_t>(a.n_rows));
   for (index_t i = 0; i < a.n_rows; ++i)
     len[static_cast<std::size_t>(i)] = a.row_len(i);
-  if (sort_window > 1)
-    for (std::size_t b = 0; b < len.size();
-         b += static_cast<std::size_t>(sort_window)) {
-      const std::size_t e =
-          std::min(len.size(), b + static_cast<std::size_t>(sort_window));
-      std::sort(len.begin() + static_cast<std::ptrdiff_t>(b),
-                len.begin() + static_cast<std::ptrdiff_t>(e),
-                std::greater<>());
-    }
+  if (sort_window > 1) {
+    const Permutation p = Permutation::sort_descending(len, sort_window);
+    std::vector<index_t> sorted(len.size());
+    for (index_t i = 0; i < p.size(); ++i)
+      sorted[static_cast<std::size_t>(i)] =
+          len[static_cast<std::size_t>(p.old_of(i))];
+    len = std::move(sorted);
+  }
   const AlignedVector<offset_t> ptr = slice_offsets(len, slice_height);
   const std::size_t padded_rows =
       (ptr.size() - 1) * static_cast<std::size_t>(slice_height);

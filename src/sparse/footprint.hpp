@@ -51,9 +51,9 @@ Footprint footprint(const Bellpack<T>& a);
 /// builder's own layout step and without storing an entry. The format
 /// registry's sizers wrap these; the `auto` plan ranks candidates by them.
 ///
-/// SlicedEll::from_csr(a, C, σ): row lengths sorted descending within
-/// windows of σ rows (the per-window lengths the builder's stable index
-/// sort produces), then slice_offsets. `with_row_len` as in footprint().
+/// SlicedEll::from_csr(a, C, σ): row lengths ordered by the builder's
+/// own Permutation::sort_descending within windows of σ rows, then
+/// slice_offsets. `with_row_len` as in footprint().
 template <class T>
 Footprint sliced_ell_size(const Csr<T>& a, index_t slice_height,
                           index_t sort_window, bool with_row_len = true);

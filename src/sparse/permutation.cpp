@@ -1,11 +1,57 @@
 #include "sparse/permutation.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace spmvm {
+
+namespace {
+
+/// Stable sort of `idx` (indices into `keys`) by descending key. LSD
+/// radix sort over the 8-bit digits of hi - key, where [lo, hi] is the
+/// key range of `idx`: one counting pass per digit of the span, so a
+/// span below 256 takes a single pass and a 32-bit span at most four,
+/// each O(idx.size() + 256) however long one key is. Ascending digits
+/// of hi - key are descending keys, and each pass keeps equal digits in
+/// input order, so ties stay in index order as with std::stable_sort.
+void radix_sort_descending(std::span<const index_t> keys,
+                           std::span<index_t> idx,
+                           std::span<index_t> scratch) {
+  if (idx.size() < 2) return;
+  const auto key = [keys](index_t i) {
+    return keys[static_cast<std::size_t>(i)];
+  };
+  index_t lo = key(idx[0]);
+  index_t hi = lo;
+  for (const index_t i : idx) {
+    lo = std::min(lo, key(i));
+    hi = std::max(hi, key(i));
+  }
+  // Unsigned: hi - key lies in [0, span] for any pair of 32-bit keys.
+  const auto top = static_cast<std::uint32_t>(hi);
+  const std::uint32_t span = top - static_cast<std::uint32_t>(lo);
+  std::span<index_t> src = idx;
+  std::span<index_t> dst = scratch.first(idx.size());
+  for (unsigned shift = 0; shift < 32 && (span >> shift) != 0; shift += 8) {
+    const auto digit = [&](index_t i) {
+      return ((top - static_cast<std::uint32_t>(key(i))) >> shift) & 0xFFu;
+    };
+    std::array<std::size_t, 256> start{};
+    for (const index_t i : src) ++start[digit(i)];
+    std::size_t sum = 0;
+    for (std::size_t& c : start) sum += std::exchange(c, sum);
+    for (const index_t i : src) dst[start[digit(i)]++] = i;
+    std::swap(src, dst);
+  }
+  if (src.data() != idx.data()) std::copy(src.begin(), src.end(), idx.begin());
+}
+
+}  // namespace
 
 Permutation Permutation::identity(index_t n) {
   SPMVM_REQUIRE(n >= 0, "permutation size must be >= 0");
@@ -23,15 +69,11 @@ Permutation Permutation::sort_descending(std::span<const index_t> keys,
   auto& order = p.new_to_old_;
   const std::size_t n = order.size();
   const std::size_t w = static_cast<std::size_t>(window);
-  for (std::size_t begin = 0; begin < n; begin += w) {
-    const std::size_t end = std::min(begin + w, n);
-    std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(begin),
-                     order.begin() + static_cast<std::ptrdiff_t>(end),
-                     [&keys](index_t a, index_t b) {
-                       return keys[static_cast<std::size_t>(a)] >
-                              keys[static_cast<std::size_t>(b)];
-                     });
-  }
+  std::vector<index_t> scratch(std::min(w, n));
+  for (std::size_t begin = 0; begin < n; begin += w)
+    radix_sort_descending(
+        keys, std::span<index_t>(order).subspan(begin, std::min(w, n - begin)),
+        scratch);
   p.rebuild_inverse();
   return p;
 }

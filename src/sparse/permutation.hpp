@@ -22,7 +22,9 @@ class Permutation {
   /// Stable sort of [0, keys.size()) by descending key. `window` limits the
   /// sorting scope: indices are sorted only within consecutive chunks of
   /// `window` elements (the σ parameter of the later SELL-C-σ format);
-  /// window >= n gives the full sort used by pJDS/JDS.
+  /// window >= n gives the full sort used by pJDS/JDS. Each window is a
+  /// radix sort: one counting pass when its keys span fewer than 256
+  /// values, at most four for any keys.
   static Permutation sort_descending(std::span<const index_t> keys,
                                      index_t window);
 

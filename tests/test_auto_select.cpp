@@ -1,7 +1,8 @@
 // The `auto` plan's sizing contract: every concrete registry format's
 // sizer reports exactly the footprint of the plan its builder returns,
-// ranking from those sizes reproduces ranking from built plans bit for
-// bit, and auto builds only the α reference and the probed candidates.
+// ranking from those sizes at α = 1/N_nzr reproduces the ranking of
+// built plans at the simulator's α, auto builds only the candidates it
+// probes, and the probe times them in interleaved rounds.
 #include "formats/auto_select.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "matgen/suite.hpp"
 #include "perfmodel/balance.hpp"
 #include "test_helpers.hpp"
+#include "util/timer.hpp"
 
 namespace spmvm::formats {
 namespace {
@@ -47,6 +50,9 @@ std::vector<Named> sizing_matrices() {
   m.push_back({"one dense row", one_dense_row(97, 41)});
   m.push_back({"n_rows < chunk", random_csr<double>(13, 13, 1, 5, 7)});
   m.push_back({"2500 rows", random_csr<double>(2500, 2500, 0, 30, 9)});
+  // Row lengths spanning more than 256 within one sort window: the
+  // row-length sort needs a second radix digit.
+  m.push_back({"lengths 0..520", random_csr<double>(520, 600, 0, 520, 13)});
   for (const auto& [name, scale] :
        std::vector<std::pair<std::string, double>>{{"DLR1", 1024},
                                                    {"DLR2", 2048},
@@ -96,6 +102,17 @@ TEST(FormatSizing, MatchesBuiltFootprint) {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+/// Candidate indices ranked by balance, registry order on ties.
+std::vector<std::size_t> rank_by(const std::vector<double>& balance) {
+  std::vector<std::size_t> order(balance.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t l, std::size_t r) {
+                     return balance[l] < balance[r];
+                   });
+  return order;
+}
+
 TEST(AutoSelect, RankingMatchesBuildingEveryCandidate) {
   const auto& reg = registry<double>();
   const gpusim::DeviceSpec dev = gpusim::DeviceSpec::tesla_c2070();
@@ -110,39 +127,45 @@ TEST(AutoSelect, RankingMatchesBuildingEveryCandidate) {
 
   for (const Named& m : mats) {
     SCOPED_TRACE(m.name);
-    // Build every candidate and measure α on the built ELLPACK-R plan.
+    // Build every candidate, and measure α on the built ELLPACK-R plan
+    // with the L2 simulator.
     std::vector<std::shared_ptr<const FormatPlan<double>>> plans;
-    double alpha = 0.0;
+    double alpha_sim = 0.0;
     for (const auto& e : reg.entries()) {
       if (std::string(e.info.name) == "auto") continue;
       plans.push_back(reg.build(e.info.name, m.a, opts));
       if (std::string(e.info.name) == "ellpack_r")
-        alpha = plans.back()->simulate(dev)->stats.measured_alpha(
+        alpha_sim = plans.back()->simulate(dev)->stats.measured_alpha(
             sizeof(double));
     }
-    std::vector<double> balance;
-    for (const auto& p : plans)
-      balance.push_back(perfmodel::code_balance_stored(
-          p->footprint().total_bytes(sizeof(double)),
-          static_cast<std::size_t>(m.a.nnz()),
-          static_cast<std::size_t>(m.a.n_rows), sizeof(double), alpha));
-    std::vector<std::size_t> order(plans.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t l, std::size_t r) {
-                       return balance[l] < balance[r];
-                     });
+    ASSERT_GT(alpha_sim, 0.0);
+    const auto balances = [&](double alpha) {
+      std::vector<double> b;
+      for (const auto& p : plans)
+        b.push_back(perfmodel::code_balance_stored(
+            p->footprint().total_bytes(sizeof(double)),
+            static_cast<std::size_t>(m.a.nnz()),
+            static_cast<std::size_t>(m.a.n_rows), sizeof(double), alpha));
+      return b;
+    };
+    const std::vector<double> balance =
+        balances(perfmodel::alpha_ideal(m.a.avg_row_len()));
+    const std::vector<std::size_t> order = rank_by(balance);
 
     std::shared_ptr<const FormatPlan<double>> chosen;
     const AutoChoice c = choose_format(reg, m.a, opts, &chosen);
-    EXPECT_EQ(bits(c.alpha_measured), bits(alpha));
     ASSERT_EQ(c.candidates.size(), plans.size());
+    std::vector<double> auto_balance;
     for (std::size_t i = 0; i < plans.size(); ++i) {
       EXPECT_EQ(c.candidates[i].name, plans[i]->info().name);
       EXPECT_EQ(bits(c.candidates[i].balance), bits(balance[i]))
           << c.candidates[i].name;
       EXPECT_EQ(c.candidates[i].probe_seconds, -1.0);
+      auto_balance.push_back(c.candidates[i].balance);
     }
+    // The ranking at the simulated α is the ranking at 1/N_nzr.
+    EXPECT_EQ(rank_by(auto_balance), order);
+    EXPECT_EQ(rank_by(balances(alpha_sim)), order);
     EXPECT_EQ(c.model_index, order.front());
     EXPECT_EQ(c.chosen_index, c.model_index);
     EXPECT_EQ(c.chosen, plans[order.front()]->info().name);
@@ -151,16 +174,39 @@ TEST(AutoSelect, RankingMatchesBuildingEveryCandidate) {
   }
 }
 
-// A private registry whose builders wrap the built-ins and count calls.
+// A private registry whose builders wrap the built-ins, count builds and
+// log every single-vector product of the plans they return.
 constexpr std::size_t kBuiltins = 9;  // eight formats + auto
 std::map<std::string, int> g_builds;
+std::vector<std::string> g_products;
+
+class LoggingPlan final : public FormatPlan<double> {
+ public:
+  explicit LoggingPlan(std::unique_ptr<FormatPlan<double>> inner)
+      : inner_(std::move(inner)) {}
+  const FormatInfo& info() const override { return inner_->info(); }
+  index_t n_rows() const override { return inner_->n_rows(); }
+  index_t n_cols() const override { return inner_->n_cols(); }
+  offset_t nnz() const override { return inner_->nnz(); }
+  Footprint footprint() const override { return inner_->footprint(); }
+  Csr<double> to_csr() const override { return inner_->to_csr(); }
+  void spmv(std::span<const double> x, std::span<double> y,
+            int n_threads) const override {
+    g_products.push_back(info().name);
+    inner_->spmv(x, y, n_threads);
+  }
+
+ private:
+  std::unique_ptr<FormatPlan<double>> inner_;
+};
 
 template <std::size_t I>
 std::unique_ptr<FormatPlan<double>> counting_builder(const Csr<double>& a,
                                                      const PlanOptions& opts,
                                                      const FormatInfo& info) {
   ++g_builds[info.name];
-  return registry<double>().entries()[I].builder(a, opts, info);
+  return std::make_unique<LoggingPlan>(
+      registry<double>().entries()[I].builder(a, opts, info));
 }
 
 template <std::size_t... I>
@@ -172,6 +218,16 @@ void register_counting(FormatRegistry<double>& reg,
                               builtins[I].size)
         : void()),
    ...);
+}
+
+/// Candidate names ranked by model balance, registry order on ties.
+std::vector<std::string> ranked(const AutoChoice& c) {
+  std::vector<double> balance;
+  for (const AutoCandidate& x : c.candidates) balance.push_back(x.balance);
+  std::vector<std::string> names;
+  for (const std::size_t i : rank_by(balance))
+    names.push_back(c.candidates[i].name);
+  return names;
 }
 
 TEST(AutoSelect, BuildsOnlyProbedCandidates) {
@@ -189,17 +245,6 @@ TEST(AutoSelect, BuildsOnlyProbedCandidates) {
     EXPECT_NE(chosen, nullptr);
     return std::make_pair(g_builds, c);
   };
-  // Names ranked by model balance, registry order on ties.
-  const auto ranked = [](const AutoChoice& c) {
-    std::vector<AutoCandidate> k = c.candidates;
-    std::stable_sort(k.begin(), k.end(),
-                     [](const AutoCandidate& l, const AutoCandidate& r) {
-                       return l.balance < r.balance;
-                     });
-    std::vector<std::string> names;
-    for (const AutoCandidate& x : k) names.push_back(x.name);
-    return names;
-  };
   PlanOptions opts;
   opts.probe_min_seconds = 0.0;
   opts.probe_reps = 1;
@@ -208,8 +253,7 @@ TEST(AutoSelect, BuildsOnlyProbedCandidates) {
     SCOPED_TRACE("probe off");
     opts.probe = false;
     const auto [builds, c] = select(opts);
-    std::map<std::string, int> want{{c.candidates[c.model_index].name, 1},
-                                    {"ellpack_r", 1}};
+    std::map<std::string, int> want{{c.candidates[c.model_index].name, 1}};
     EXPECT_EQ(builds, want);
   }
   {
@@ -218,7 +262,7 @@ TEST(AutoSelect, BuildsOnlyProbedCandidates) {
     opts.probe_candidates = 2;
     const auto [builds, c] = select(opts);
     const std::vector<std::string> r = ranked(c);
-    std::map<std::string, int> want{{r[0], 1}, {r[1], 1}, {"ellpack_r", 1}};
+    std::map<std::string, int> want{{r[0], 1}, {r[1], 1}};
     EXPECT_EQ(builds, want);
     for (const AutoCandidate& k : c.candidates)
       EXPECT_EQ(k.probe_seconds >= 0.0, k.name == r[0] || k.name == r[1])
@@ -233,6 +277,50 @@ TEST(AutoSelect, BuildsOnlyProbedCandidates) {
     EXPECT_EQ(builds.size(), 8u);
     EXPECT_EQ(builds, want);
   }
+}
+
+TEST(AutoSelect, ProbeTimesCandidatesInInterleavedRounds) {
+  FormatRegistry<double> reg;
+  register_counting(reg, std::make_index_sequence<kBuiltins>{});
+  const auto a = random_csr<double>(400, 400, 0, 24, 11);
+  PlanOptions opts;
+  opts.probe_min_seconds = 0.0;
+  opts.probe_reps = 4;
+
+  // Per candidate, in rank order: one warm-up product, then one product
+  // per round, round-robin, until each has probe_reps timed products.
+  for (const int k : {1, 2, 3}) {
+    SCOPED_TRACE("probe_candidates " + std::to_string(k));
+    opts.probe_candidates = k;
+    g_products.clear();
+    const AutoChoice c = choose_format(reg, a, opts);
+    const std::vector<std::string> r = ranked(c);
+    const auto kk = static_cast<std::size_t>(k);
+    ASSERT_EQ(g_products.size(), kk * (1 + 4));
+    for (std::size_t j = 0; j < g_products.size(); ++j)
+      EXPECT_EQ(g_products[j], r[j % kk]) << "product " << j;
+    for (std::size_t j = 0; j < r.size(); ++j) {
+      const auto it = std::find_if(
+          c.candidates.begin(), c.candidates.end(),
+          [&](const AutoCandidate& x) { return x.name == r[j]; });
+      EXPECT_EQ(it->probe_seconds >= 0.0, j < kk) << r[j];
+    }
+  }
+
+  // A time budget adds whole rounds: the order stays round-robin and
+  // the rounds last at least probe_min_seconds per candidate.
+  opts.probe_candidates = 2;
+  opts.probe_reps = 1;
+  opts.probe_min_seconds = 0.005;
+  g_products.clear();
+  const Timer t;
+  const AutoChoice c = choose_format(reg, a, opts);
+  EXPECT_GE(t.seconds(), 2 * opts.probe_min_seconds);
+  const std::vector<std::string> r = ranked(c);
+  EXPECT_GT(g_products.size(), 2u * (1 + 1));
+  EXPECT_EQ(g_products.size() % 2, 0u);
+  for (std::size_t j = 0; j < g_products.size(); ++j)
+    ASSERT_EQ(g_products[j], r[j % 2]) << "product " << j;
 }
 
 }  // namespace
