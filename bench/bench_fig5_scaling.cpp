@@ -23,18 +23,6 @@ using namespace spmvm::dist;
 
 namespace {
 
-const char* scheme_slug(CommScheme s) {
-  switch (s) {
-    case CommScheme::vector_mode:
-      return "vector";
-    case CommScheme::naive_overlap:
-      return "naive";
-    case CommScheme::task_mode:
-      return "task";
-  }
-  return "?";
-}
-
 void run_case(const char* name, double scale, double paper_single_gfs,
               const std::vector<int>& nodes, obs::BenchReport* report) {
   const auto m = make_named(name, scale);
@@ -113,42 +101,27 @@ void run_case(const char* name, double scale, double paper_single_gfs,
 }
 
 /// Measured (wall-clock, functional runtime): per-iteration cost of the
-/// legacy per-call dist_spmv vs the persistent CommPlan, per scheme.
-/// Emitted into --json as measured/<scheme>/{legacy,plan} (not gated).
-void run_measured_plan_comparison(obs::BenchReport* report) {
+/// persistent CommPlan, per scheme. Emitted into --json as
+/// measured/<scheme>/plan (not gated).
+void run_measured_plan(obs::BenchReport* report) {
   const auto m = make_named("DLR1", 16);
   const int n_ranks = 4;
   const int iters = 40;
   const auto part = partition_balanced_nnz(m.matrix, n_ranks);
-  AsciiTable t({"scheme", "legacy [us/iter]", "plan [us/iter]", "speedup"});
+  AsciiTable t({"scheme", "plan [us/iter]"});
   for (const auto scheme :
        {CommScheme::vector_mode, CommScheme::naive_overlap,
         CommScheme::task_mode}) {
-    double legacy_s = 0.0, plan_s = 0.0;
+    double plan_s = 0.0;
     msg::Runtime::run(n_ranks, [&](msg::Comm& comm) {
       const auto d = distribute(m.matrix, part, comm.rank());
       std::vector<double> x(static_cast<std::size_t>(d.n_local), 1.0);
       std::vector<double> y(static_cast<std::size_t>(d.n_local));
-      std::vector<double> halo, sendbuf;
-      dist_spmv(comm, d, std::span<const double>(x), std::span<double>(y),
-                scheme, halo, sendbuf);  // warm up both paths
-      // Best of three repetitions per path: the in-process runtime runs
-      // on a shared machine, so single samples are noisy.
-      double best_legacy = 0.0, best_plan = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        comm.barrier();
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int it = 0; it < iters; ++it)
-          dist_spmv(comm, d, std::span<const double>(x),
-                    std::span<double>(y), scheme, halo, sendbuf);
-        const double s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-        if (rep == 0 || s < best_legacy) best_legacy = s;
-      }
       CommPlan<double> plan(comm, d, scheme, /*gather_threads=*/2);
-      plan.spmv(std::span<const double>(x), std::span<double>(y));
+      plan.spmv(std::span<const double>(x), std::span<double>(y));  // warm up
+      // Best of three repetitions: the in-process runtime runs on a
+      // shared machine, so single samples are noisy.
+      double best = 0.0;
       for (int rep = 0; rep < 3; ++rep) {
         comm.barrier();
         const auto t0 = std::chrono::steady_clock::now();
@@ -158,25 +131,15 @@ void run_measured_plan_comparison(obs::BenchReport* report) {
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)
                 .count();
-        if (rep == 0 || s < best_plan) best_plan = s;
+        if (rep == 0 || s < best) best = s;
       }
-      if (comm.rank() == 0) {
-        legacy_s = best_legacy / iters;
-        plan_s = best_plan / iters;
-      }
+      if (comm.rank() == 0) plan_s = best / iters;
     });
-    t.add_row({to_string(scheme), fmt(legacy_s * 1e6, 1),
-               fmt(plan_s * 1e6, 1),
-               fmt(plan_s > 0.0 ? legacy_s / plan_s : 0.0, 2)});
+    t.add_row({to_string(scheme), fmt(plan_s * 1e6, 1)});
     if (report != nullptr) {
-      const double ls[] = {legacy_s};
       const double ps[] = {plan_s};
       report->entries.push_back(obs::summarize_samples(
-          std::string("measured/") + scheme_slug(scheme) + "/legacy", ls,
-          {}));
-      report->entries.push_back(obs::summarize_samples(
-          std::string("measured/") + scheme_slug(scheme) + "/plan", ps,
-          {{"speedup", plan_s > 0.0 ? legacy_s / plan_s : 0.0}}));
+          std::string("measured/") + scheme_slug(scheme) + "/plan", ps, {}));
     }
   }
   std::printf("measured on the in-process runtime (DLR1/16, 4 ranks, "
@@ -251,8 +214,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n", t.render().c_str());
   }
 
-  std::printf("persistent halo-exchange plans vs per-call exchange:\n");
-  run_measured_plan_comparison(rep);
+  std::printf("persistent halo-exchange plans:\n");
+  run_measured_plan(rep);
 
   if (rep != nullptr && !rep->write(json_path)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());

@@ -295,15 +295,6 @@ void run_pcie_thresholds(const SuiteConfig&, obs::BenchReport& report) {
 
 // ---- dist_comm_modes: the three communication schemes (cluster model) ----
 
-const char* scheme_slug(dist::CommScheme s) {
-  switch (s) {
-    case dist::CommScheme::vector_mode: return "vector";
-    case dist::CommScheme::naive_overlap: return "naive";
-    case dist::CommScheme::task_mode: return "task";
-  }
-  return "?";
-}
-
 void run_dist_comm_modes(const SuiteConfig& cfg, obs::BenchReport& report) {
   const double scale = cfg.smoke ? 32 : 8;
   const auto m = make_named("DLR1", scale);
@@ -323,7 +314,7 @@ void run_dist_comm_modes(const SuiteConfig& cfg, obs::BenchReport& report) {
     if (p.seconds == 0.0) continue;  // did not fit in device memory
     const double sample[] = {p.seconds};
     report.entries.push_back(obs::summarize_samples(
-        std::string("dist/DLR1/") + scheme_slug(p.scheme) + "/" +
+        std::string("dist/DLR1/") + dist::scheme_slug(p.scheme) + "/" +
             std::to_string(p.nodes),
         sample,
         {{"GF/s", p.gflops}, {"nodes", static_cast<double>(p.nodes)}}));
@@ -343,7 +334,7 @@ double thread_cpu_seconds() {
 /// Deterministic rank layout (halo, send lists, part sizes summed over
 /// ranks) and per-scheme traffic accounting (bytes and messages per
 /// iteration), both gated in CI, plus informational set-up CPU time
-/// under dist_setup_time/ and a legacy-vs-plan timing comparison under
+/// under dist_setup_time/ and the plan's time per iteration under
 /// dist_comm_time/ (not gated: host timings).
 void run_dist_comm(const SuiteConfig& cfg, obs::BenchReport& report) {
   const double scale = cfg.smoke ? 64 : 16;
@@ -414,15 +405,16 @@ void run_dist_comm(const SuiteConfig& cfg, obs::BenchReport& report) {
     const obs::AttributionReport attr = obs::attribute_comm_phases(window);
     if (!attr.empty()) {
       report.entries.push_back(obs::summarize_samples(
-          std::string("dist_comm_phase/") + scheme_slug(scheme), {},
+          std::string("dist_comm_phase/") + dist::scheme_slug(scheme), {},
           attr.counters()));
       std::printf("dist_comm/%s comm attribution (%d ranks, %d iters):\n%s\n",
-                  scheme_slug(scheme), n_ranks, iters, attr.render().c_str());
+                  dist::scheme_slug(scheme), n_ranks, iters,
+                  attr.render().c_str());
     }
     const double per_iter =
         1.0 / static_cast<double>(iters) / n_ranks;  // per rank-iteration
     report.entries.push_back(obs::summarize_samples(
-        std::string("dist_comm/") + scheme_slug(scheme), {},
+        std::string("dist_comm/") + dist::scheme_slug(scheme), {},
         {{"halo_bytes_per_rank_iter",
           static_cast<double>(obs::counter("comm.halo_bytes").value() -
                               halo0) *
@@ -440,41 +432,27 @@ void run_dist_comm(const SuiteConfig& cfg, obs::BenchReport& report) {
                               eager0) /
               iters}}));
 
-    // Separate run for wall-clock: the same product count through the
-    // legacy per-call path and the plan, free-running.
-    double legacy_s = 0.0, plan_s = 0.0;
+    // Separate run for wall-clock: the plan, free-running.
+    double plan_s = 0.0;
     msg::Runtime::run(n_ranks, [&](msg::Comm& comm) {
       const auto d = dist::distribute(m.matrix, part, comm.rank());
       std::vector<double> x(static_cast<std::size_t>(d.n_local), 1.0);
       std::vector<double> y(static_cast<std::size_t>(d.n_local));
-      std::vector<double> halo, sendbuf;
-      // Warm both paths (pool workers, kernel plans) before timing.
-      dist::dist_spmv(comm, d, std::span<const double>(x),
-                      std::span<double>(y), scheme, halo, sendbuf);
-      comm.barrier();
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int it = 0; it < iters; ++it)
-        dist::dist_spmv(comm, d, std::span<const double>(x),
-                        std::span<double>(y), scheme, halo, sendbuf);
-      const auto t1 = std::chrono::steady_clock::now();
+      // Warm up (pool workers, kernel plans) before timing.
       dist::CommPlan<double> plan(comm, d, scheme, /*gather_threads=*/2);
       plan.spmv(std::span<const double>(x), std::span<double>(y));
       comm.barrier();
-      const auto t2 = std::chrono::steady_clock::now();
+      const auto t0 = std::chrono::steady_clock::now();
       for (int it = 0; it < iters; ++it)
         plan.spmv(std::span<const double>(x), std::span<double>(y));
-      const auto t3 = std::chrono::steady_clock::now();
-      if (comm.rank() == 0) {
-        legacy_s = std::chrono::duration<double>(t1 - t0).count() / iters;
-        plan_s = std::chrono::duration<double>(t3 - t2).count() / iters;
-      }
+      const auto t1 = std::chrono::steady_clock::now();
+      if (comm.rank() == 0)
+        plan_s = std::chrono::duration<double>(t1 - t0).count() / iters;
     });
     const double sample[] = {plan_s};
     report.entries.push_back(obs::summarize_samples(
-        std::string("dist_comm_time/") + scheme_slug(scheme), sample,
-        {{"legacy_s", legacy_s},
-         {"plan_s", plan_s},
-         {"speedup", plan_s > 0.0 ? legacy_s / plan_s : 0.0}}));
+        std::string("dist_comm_time/") + dist::scheme_slug(scheme), sample,
+        {{"plan_s", plan_s}}));
   }
 }
 
@@ -629,7 +607,7 @@ constexpr Scenario kScenarios[] = {
      run_dist_comm_modes},
     {"dist_comm",
      "functional halo exchange: per-scheme traffic (deterministic) and "
-     "legacy-vs-plan timing",
+     "plan timing",
      false, run_dist_comm},
     {"serve",
      "serving layer: model batch widths, block-launch PCIe staging, "

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "sparse/sliced_ell.hpp"
-#include "dist/spmv_modes.hpp"
+#include "dist/comm_plan.hpp"
 #include "dist/timeline.hpp"
 #include "gpusim/kernel_sim.hpp"
 #include "matgen/generators.hpp"

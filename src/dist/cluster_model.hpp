@@ -1,6 +1,6 @@
 // Cluster timing model for multi-GPGPU spMVM (Sec. III / Fig. 5).
 //
-// The functional halo exchange (spmv_modes) establishes *what* moves;
+// The functional halo exchange (comm_plan) establishes *what* moves;
 // this model turns the measured per-rank volumes and simulated kernel
 // times into wall-clock estimates for one spMVM iteration under the
 // three communication schemes, on a Dirac-like cluster (one Tesla C2050
@@ -26,8 +26,8 @@
 
 #include <string>
 
+#include "dist/comm_plan.hpp"
 #include "dist/dist_matrix.hpp"
-#include "dist/spmv_modes.hpp"
 #include "dist/timeline.hpp"
 #include "gpusim/device_spec.hpp"
 

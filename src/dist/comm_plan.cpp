@@ -1,11 +1,12 @@
 #include "dist/comm_plan.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <string_view>
 #include <utility>
 
-#include "dist/cluster_model.hpp"
-#include "dist/spmv_apply.hpp"
+#include "exec/dispatch.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -16,33 +17,35 @@ namespace spmvm::dist {
 
 namespace {
 
-/// Plan traffic uses its own tag so a plan and the legacy dist_spmv can
-/// coexist on one Comm (the bit-identity tests interleave both) without
-/// their messages cross-matching.
+/// Tag of the halo messages. One plan may be active per Comm at a time,
+/// so every plan on a Comm can share it.
 constexpr int kTagPlanHalo = 102;
+
+/// The iteration span of a plan, "dist/plan_<slug>". Span names must
+/// outlive the trace, so they are literals; scheme_slug() is their tail.
+constexpr std::size_t kPlanSpanPrefix = std::string_view("dist/plan_").size();
 
 const char* plan_span_name(CommScheme scheme) {
   switch (scheme) {
     case CommScheme::vector_mode:
       return "dist/plan_vector";
     case CommScheme::naive_overlap:
-      return "dist/plan_naive_overlap";
+      return "dist/plan_naive";
     case CommScheme::task_mode:
       return "dist/plan_task";
   }
-  return "dist/plan";
+  return "dist/plan_?";
 }
 
-const char* scheme_slug(CommScheme scheme) {
-  switch (scheme) {
-    case CommScheme::vector_mode:
-      return "vector_mode";
-    case CommScheme::naive_overlap:
-      return "naive_overlap";
-    case CommScheme::task_mode:
-      return "task_mode";
-  }
-  return "?";
+/// y += nonlocal · halo (the non-local contribution), through the plan's
+/// fused kernel (build_plans accepts only formats that have one).
+template <class T>
+void apply_nonlocal(const DistMatrix<T>& d, std::span<const T> halo,
+                    std::span<T> y) {
+  if (d.n_halo == 0) return;
+  const bool fused =
+      exec::plan_spmv_axpby(*d.nonlocal_plan, halo, y, T{1}, T{1});
+  SPMVM_REQUIRE(fused, "non-local plan has no fused y += A*x kernel");
 }
 
 /// Net-lane work descriptor for `bytes` of halo traffic over the
@@ -56,6 +59,51 @@ obs::WorkDesc net_work(std::uint64_t bytes) {
 
 }  // namespace
 
+const char* to_string(CommScheme scheme) {
+  switch (scheme) {
+    case CommScheme::vector_mode:
+      return "vector mode";
+    case CommScheme::naive_overlap:
+      return "naive overlap";
+    case CommScheme::task_mode:
+      return "task mode";
+  }
+  return "?";
+}
+
+const char* scheme_slug(CommScheme scheme) {
+  return plan_span_name(scheme) + kPlanSpanPrefix;
+}
+
+template <class T>
+void handshake_pattern(msg::Comm& comm, const DistMatrix<T>& d) {
+  SPMVM_REQUIRE(comm.size() == d.n_parts,
+                "communicator size must match the partition");
+  SPMVM_REQUIRE(comm.rank() == d.rank, "rank mismatch");
+  // Tell every owner which of its entries I need (global indices); check
+  // that what peers request from me matches my precomputed send lists.
+  std::vector<std::vector<index_t>> requests(
+      static_cast<std::size_t>(d.n_parts));
+  for (int p = 0; p < d.n_parts; ++p) {
+    const auto off = d.recv_offset[static_cast<std::size_t>(p)];
+    const auto cnt = d.recv_count[static_cast<std::size_t>(p)];
+    requests[static_cast<std::size_t>(p)].assign(
+        d.halo_global.begin() + off, d.halo_global.begin() + off + cnt);
+  }
+  const auto wanted_from_me = comm.alltoall_t<index_t>(requests);
+  const index_t row0 = d.partition.begin(d.rank);
+  for (int p = 0; p < d.n_parts; ++p) {
+    if (p == d.rank) continue;
+    const auto& got = wanted_from_me[static_cast<std::size_t>(p)];
+    const auto& expected = d.send_idx[static_cast<std::size_t>(p)];
+    SPMVM_REQUIRE(got.size() == expected.size(),
+                  "send-list size mismatch in pattern handshake");
+    for (std::size_t k = 0; k < got.size(); ++k)
+      SPMVM_REQUIRE(got[k] - row0 == expected[k],
+                    "send-list entry mismatch in pattern handshake");
+  }
+}
+
 template <class T>
 CommPlan<T>::CommPlan(msg::Comm& comm, const DistMatrix<T>& d,
                       CommScheme scheme, int gather_threads)
@@ -67,9 +115,13 @@ CommPlan<T>::CommPlan(msg::Comm& comm, const DistMatrix<T>& d,
                 "communicator size must match the partition");
   SPMVM_REQUIRE(comm.rank() == d.rank, "rank mismatch");
   SPMVM_REQUIRE(gather_threads >= 1, "need at least one gather thread");
+  SPMVM_REQUIRE(d.local_plan != nullptr,
+                "DistMatrix has no local kernel plan (see build_plans)");
+  SPMVM_REQUIRE(d.n_halo == 0 || d.nonlocal_plan != nullptr,
+                "DistMatrix has a halo but no non-local kernel plan (see "
+                "build_plans)");
 
-  // Flatten the per-peer send lists into one contiguous array; the
-  // legacy path recomputes these offsets on every call.
+  // Flatten the per-peer send lists into one contiguous array.
   send_offset_.assign(static_cast<std::size_t>(d.n_parts) + 1, 0);
   for (int p = 0; p < d.n_parts; ++p)
     send_offset_[static_cast<std::size_t>(p) + 1] =
@@ -270,11 +322,11 @@ void CommPlan<T>::spmv(std::span<const T> x_local, std::span<T> y_local) {
       wait_receives();
       {
         SPMVM_TRACE_SPAN("kernel/local");
-        detail::apply_local<T>(d_, x_local, y_local);
+        exec::plan_spmv(*d_.local_plan, x_local, y_local);
       }
       {
         SPMVM_TRACE_SPAN("kernel/nonlocal");
-        detail::apply_nonlocal<T>(d_, std::span<const T>(halo_), y_local);
+        apply_nonlocal<T>(d_, std::span<const T>(halo_), y_local);
       }
       break;
     }
@@ -283,12 +335,12 @@ void CommPlan<T>::spmv(std::span<const T> x_local, std::span<T> y_local) {
       start_sends();
       {
         SPMVM_TRACE_SPAN("kernel/local");
-        detail::apply_local<T>(d_, x_local, y_local);
+        exec::plan_spmv(*d_.local_plan, x_local, y_local);
       }
       wait_receives();
       {
         SPMVM_TRACE_SPAN("kernel/nonlocal");
-        detail::apply_nonlocal<T>(d_, std::span<const T>(halo_), y_local);
+        apply_nonlocal<T>(d_, std::span<const T>(halo_), y_local);
       }
       break;
     }
@@ -298,12 +350,12 @@ void CommPlan<T>::spmv(std::span<const T> x_local, std::span<T> y_local) {
       signal_comm_thread();
       {
         SPMVM_TRACE_SPAN("kernel/local");
-        detail::apply_local<T>(d_, x_local, y_local);
+        exec::plan_spmv(*d_.local_plan, x_local, y_local);
       }
       join_iteration();
       {
         SPMVM_TRACE_SPAN("kernel/nonlocal");
-        detail::apply_nonlocal<T>(d_, std::span<const T>(halo_), y_local);
+        apply_nonlocal<T>(d_, std::span<const T>(halo_), y_local);
       }
       break;
     }
@@ -320,7 +372,34 @@ void CommPlan<T>::spmv(std::span<const T> x_local, std::span<T> y_local) {
   ++iterations_;
 }
 
-template class CommPlan<float>;
-template class CommPlan<double>;
+template <class T>
+std::vector<T> run_power_iterations(msg::Comm& comm, const DistMatrix<T>& d,
+                                    std::span<const T> x0_local,
+                                    int iterations, CommScheme scheme) {
+  std::vector<T> x(x0_local.begin(), x0_local.end());
+  std::vector<T> y(static_cast<std::size_t>(d.n_local));
+  CommPlan<T> plan(comm, d, scheme);
+  for (int it = 0; it < iterations; ++it) {
+    plan.spmv(std::span<const T>(x), std::span<T>(y));
+    // Global normalization keeps values bounded and adds a collective,
+    // like a real eigensolver iteration.
+    double local_sq = 0.0;
+    for (const T v : y) local_sq += static_cast<double>(v) * v;
+    const double norm = std::sqrt(comm.allreduce_sum(local_sq));
+    SPMVM_REQUIRE(norm > 0.0, "iteration collapsed to zero vector");
+    for (std::size_t i = 0; i < y.size(); ++i)
+      x[i] = static_cast<T>(y[i] / norm);
+  }
+  return x;
+}
+
+#define SPMVM_INSTANTIATE_COMM_PLAN(T)                                    \
+  template class CommPlan<T>;                                             \
+  template void handshake_pattern(msg::Comm&, const DistMatrix<T>&);      \
+  template std::vector<T> run_power_iterations(                           \
+      msg::Comm&, const DistMatrix<T>&, std::span<const T>, int, CommScheme)
+
+SPMVM_INSTANTIATE_COMM_PLAN(float);
+SPMVM_INSTANTIATE_COMM_PLAN(double);
 
 }  // namespace spmvm::dist

@@ -1,11 +1,22 @@
-// Persistent halo-exchange plan for distributed spMVM (Sec. III-A).
+// Distributed spMVM with the paper's three communication schemes
+// (Sec. III-A, Fig. 4), running functionally on the in-process message
+// runtime:
 //
-// The legacy dist_spmv pays per-iteration orchestration costs that the
-// paper's scalability argument assumes away: per-call offset/request
-// vector allocations, a serial local gather, an eager double-copy per
-// message, and — in task mode — a freshly spawned communication thread
-// for every product. A CommPlan is built once per DistMatrix and hoists
-// all of that into reusable state:
+//   vector mode    — the halo exchange completes before the local and
+//                    non-local products (no overlap),
+//   naive overlap  — sends are in flight while the local product runs;
+//                    the non-local product follows the wait,
+//   task mode      — a dedicated communication thread per rank runs the
+//                    exchange while the calling thread runs the local
+//                    product (Fig. 4).
+//
+// Every scheme applies the local part, then the fused non-local part
+// (y += A_nl · halo), so all three are bit-identical to the serial
+// rank-local product; they differ only in what may overlap (timed by
+// cluster_model).
+//
+// A CommPlan is built once per DistMatrix and scheme and holds all the
+// state that stays fixed across iterations:
 //
 //   - owned send/halo scratch buffers and precomputed per-peer offsets,
 //   - persistent send/recv requests (msg::Comm::send_init/recv_init)
@@ -15,14 +26,12 @@
 //   - an entry-balanced ThreadPool partition of the local gather,
 //   - for task mode, one long-lived per-rank communication thread woken
 //     through a condition variable each iteration (the paper's
-//     dedicated comm thread of Fig. 4) instead of a thread per call.
+//     dedicated comm thread of Fig. 4).
 //
 // The steady-state spmv() performs no heap allocation and spawns no
-// threads (asserted in test_comm_plan). All three schemes stay
-// bit-identical to the legacy dist_spmv: the kernels run through the
-// same shared apply helpers in the same order.
+// threads (asserted in test_comm_plan).
 //
-// Every iteration is traced as a dist/plan_* span whose phases —
+// Every iteration is traced as a dist/plan_<slug> span whose phases —
 // comm/plan_gather, comm/plan_sends, comm/plan_waitall, kernel/local,
 // kernel/nonlocal, comm/plan_repost — feed the per-rank attribution of
 // obs/attribution (DESIGN.md §11); the task-mode comm thread records
@@ -43,17 +52,33 @@
 #include <vector>
 
 #include "dist/dist_matrix.hpp"
-#include "dist/spmv_modes.hpp"
 #include "msg/runtime.hpp"
 
 namespace spmvm::dist {
+
+enum class CommScheme { vector_mode, naive_overlap, task_mode };
+
+/// Display name: "vector mode", "naive overlap", "task mode".
+const char* to_string(CommScheme scheme);
+
+/// Short key: "vector", "naive", "task". Names the plan's iteration span
+/// (dist/plan_<slug>), its ledger records and the bench entries.
+const char* scheme_slug(CommScheme scheme);
+
+/// Verify at runtime, by message exchange, that the locally computed send
+/// lists match what each peer expects (the pattern handshake a real MPI
+/// code performs at setup). Collective; throws on mismatch.
+template <class T>
+void handshake_pattern(msg::Comm& comm, const DistMatrix<T>& d);
 
 template <class T>
 class CommPlan {
  public:
   /// Build the plan for `d` on `comm` (collective: every rank
   /// constructs at the same point). `gather_threads` > 1 runs the local
-  /// gather on the process ThreadPool with entry-balanced parts.
+  /// gather on the process ThreadPool with entry-balanced parts. Throws,
+  /// before posting any receive, when `d` lacks its kernel plans (a
+  /// local plan, and a non-local plan whenever the halo is non-empty).
   CommPlan(msg::Comm& comm, const DistMatrix<T>& d, CommScheme scheme,
            int gather_threads = 1);
   ~CommPlan();
@@ -62,7 +87,7 @@ class CommPlan {
   CommPlan& operator=(const CommPlan&) = delete;
 
   /// One distributed spMVM: y_local = A · x_local, under the plan's
-  /// scheme. Bit-identical to dist_spmv with the same scheme.
+  /// scheme.
   void spmv(std::span<const T> x_local, std::span<T> y_local);
 
   CommScheme scheme() const { return scheme_; }
@@ -110,7 +135,19 @@ class CommPlan {
   std::exception_ptr comm_error_;
 };
 
-#define SPMVM_EXTERN_COMM_PLAN(T) extern template class CommPlan<T>
+/// Run `iterations` products y = A·x through one plan, with x <- y/|y|
+/// (a global allreduce) between them, a power-iteration-like workload;
+/// returns the final local block.
+template <class T>
+std::vector<T> run_power_iterations(msg::Comm& comm, const DistMatrix<T>& d,
+                                    std::span<const T> x0_local,
+                                    int iterations, CommScheme scheme);
+
+#define SPMVM_EXTERN_COMM_PLAN(T)                                          \
+  extern template class CommPlan<T>;                                       \
+  extern template void handshake_pattern(msg::Comm&, const DistMatrix<T>&); \
+  extern template std::vector<T> run_power_iterations(                      \
+      msg::Comm&, const DistMatrix<T>&, std::span<const T>, int, CommScheme)
 SPMVM_EXTERN_COMM_PLAN(float);
 SPMVM_EXTERN_COMM_PLAN(double);
 #undef SPMVM_EXTERN_COMM_PLAN

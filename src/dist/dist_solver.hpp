@@ -6,7 +6,7 @@
 
 #include <span>
 
-#include "dist/spmv_modes.hpp"
+#include "dist/comm_plan.hpp"
 
 namespace spmvm::dist {
 

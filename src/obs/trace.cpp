@@ -194,7 +194,6 @@ SpanGuard::SpanGuard(const char* name, std::uint64_t bytes) {
 
 SpanGuard::~SpanGuard() {
   if (!active_) return;
-  event_.t1_ns = now_ns();
   --t_depth;
   ThreadBuffer& b = thread_buffer();
   const std::size_t cap = trace_cap();
@@ -208,7 +207,11 @@ SpanGuard::~SpanGuard() {
     return;
   }
   event_.tid = b.tid;
+  // Stamp the end after the append: a buffer that grows here grows
+  // inside this span, not in the gap before the next one, so phase
+  // spans keep summing to their iteration's wall time (obs/attribution).
   b.events.push_back(event_);
+  b.events.back().t1_ns = now_ns();
 }
 
 }  // namespace spmvm::obs

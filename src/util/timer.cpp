@@ -8,21 +8,6 @@
 
 namespace spmvm {
 
-double measure_seconds(double min_seconds, int min_reps, void (*fn)(void*),
-                       void* ctx) {
-  SPMVM_REQUIRE(min_reps >= 1, "measure_seconds needs at least 1 repetition");
-  SPMVM_REQUIRE(min_seconds >= 0.0, "negative measurement duration");
-  // Warm-up run (touch caches, fault pages).
-  fn(ctx);
-  int reps = 0;
-  Timer t;
-  do {
-    fn(ctx);
-    ++reps;
-  } while (t.seconds() < min_seconds || reps < min_reps);
-  return t.seconds() / reps;
-}
-
 MeasureStats measure_seconds_stats(double min_seconds, int min_reps,
                                    void (*fn)(void*), void* ctx) {
   SPMVM_REQUIRE(min_reps >= 1,

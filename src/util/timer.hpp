@@ -22,21 +22,6 @@ class Timer {
   clock::time_point start_;
 };
 
-/// Run `fn` repeatedly for at least `min_seconds` (and at least `min_reps`
-/// repetitions) and return the average seconds per invocation.
-/// `min_reps` must be >= 1 (throws spmvm::Error otherwise).
-double measure_seconds(double min_seconds, int min_reps, void (*fn)(void*),
-                       void* ctx);
-
-template <class F>
-double measure_seconds(double min_seconds, int min_reps, F&& fn) {
-  struct Ctx {
-    F* f;
-  } ctx{&fn};
-  return measure_seconds(min_seconds, min_reps,
-                         [](void* c) { (*static_cast<Ctx*>(c)->f)(); }, &ctx);
-}
-
 /// Per-repetition timing spread from one measure_seconds_stats() run —
 /// mean alone hides jitter; min is the best-case (least-disturbed) rep.
 struct MeasureStats {
@@ -48,10 +33,11 @@ struct MeasureStats {
   double median_seconds = 0.0;
 };
 
-/// Like measure_seconds, but times every repetition individually and
-/// reports the spread across them. `min_reps` must be >= 1 (throws
-/// spmvm::Error otherwise); with a single repetition the stddev is 0,
-/// never NaN.
+/// Run `fn` once to warm up, then repeatedly for at least `min_seconds`
+/// (and at least `min_reps` repetitions), timing every repetition
+/// individually, and report the spread across them. `min_reps` must be
+/// >= 1 and `min_seconds` >= 0 (throws spmvm::Error otherwise); with a
+/// single repetition the stddev is 0, never NaN.
 MeasureStats measure_seconds_stats(double min_seconds, int min_reps,
                                    void (*fn)(void*), void* ctx);
 

@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "dist/spmv_modes.hpp"
+#include "dist/comm_plan.hpp"
 #include "matgen/generators.hpp"
 #include "obs/bench_json.hpp"
 #include "obs/metrics.hpp"
