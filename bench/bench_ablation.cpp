@@ -13,9 +13,25 @@
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 #include "sparse/bellpack.hpp"
+#include "sparse/convert.hpp"
 #include "util/ascii.hpp"
 
 using namespace spmvm;
+
+namespace {
+
+/// P·A·Pᵀ with P the descending row-length sort within windows of σ
+/// rows: the br and σ sweeps time the symmetric basis, rows and columns
+/// permuted once before the format is built.
+Csr<double> sorted_symmetric(const Csr<double>& a, index_t sigma) {
+  std::vector<index_t> lens(static_cast<std::size_t>(a.n_rows));
+  for (index_t i = 0; i < a.n_rows; ++i)
+    lens[static_cast<std::size_t>(i)] = a.row_len(i);
+  return permute_csr(a, Permutation::sort_descending(lens, sigma),
+                     PermuteColumns::yes);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path, err;
@@ -38,16 +54,18 @@ int main(int argc, char** argv) {
   std::printf("Ablation 1: pJDS block size br (DP, ECC on)\n\n");
   AsciiTable t1({"br", "DLR1 fill %", "DLR1 GF/s", "sAMG fill %",
                  "sAMG GF/s"});
+  const Csr<double> dlr1_sorted = sorted_symmetric(dlr1, dlr1.n_rows);
+  const Csr<double> samg_sorted = sorted_symmetric(samg, samg.n_rows);
   for (const index_t br : {1, 4, 8, 16, 32, 64, 128}) {
     std::vector<std::string> row = {std::to_string(br)};
-    for (const auto* a : {&dlr1, &samg}) {
-      const auto p = SlicedEll<double>::pjds(*a, br);
+    for (const auto* a : {&dlr1_sorted, &samg_sorted}) {
+      const auto p = SlicedEll<double>::from_csr(*a, br);
       const auto r = gpusim::simulate(dev, p, "pjds");
       row.push_back(fmt(100.0 * p.fill_fraction(), 2));
       row.push_back(fmt(r.gflops, 1));
       report.entries.push_back(obs::summarize_samples(
           std::string("ablation1/pjds_br") + std::to_string(br) + "/" +
-              (a == &dlr1 ? "DLR1" : "sAMG"),
+              (a == &dlr1_sorted ? "DLR1" : "sAMG"),
           {},
           {{"fill_pct", 100.0 * p.fill_fraction()}, {"GF/s", r.gflops}}));
     }
@@ -63,8 +81,7 @@ int main(int argc, char** argv) {
   AsciiTable t2({"sigma", "sAMG fill %", "sAMG GF/s", "sAMG warp eff %"});
   for (const index_t sigma :
        {1, 32, 256, 4096, samg.n_rows}) {
-    const auto s = SlicedEll<double>::from_csr(samg, 32, sigma,
-                                               PermuteColumns::yes);
+    const auto s = SlicedEll<double>::from_csr(sorted_symmetric(samg, sigma));
     const auto r = gpusim::simulate(dev, s, "sell_c_sigma");
     t2.add_row({sigma == samg.n_rows ? "N (full sort)" : std::to_string(sigma),
                 fmt(100.0 * s.fill_fraction(), 2), fmt(r.gflops, 1),
@@ -117,8 +134,10 @@ int main(int argc, char** argv) {
               "tuning parameter\npJDS does without\n\n");
   {
     AsciiTable tt({"T", "DLR1 GF/s", "sAMG GF/s"});
-    const auto e_dlr1 = SlicedEll<double>::ellpack(dlr1, 32);
-    const auto e_samg = SlicedEll<double>::ellpack(samg, 32);
+    const auto e_dlr1 = SlicedEll<double>::from_csr(
+        dlr1, ellpack_slice_height(dlr1.n_rows, 32));
+    const auto e_samg = SlicedEll<double>::from_csr(
+        samg, ellpack_slice_height(samg.n_rows, 32));
     for (const int t : {1, 2, 4, 8, 16, 32}) {
       const double g_dlr1 = gpusim::simulate_ellr_t(dev, e_dlr1, t).gflops;
       const double g_samg = gpusim::simulate_ellr_t(dev, e_samg, t).gflops;
@@ -141,7 +160,7 @@ int main(int argc, char** argv) {
     const char* mname = item == &dlr2 ? "DLR2 (5x5 blocks)" : "sAMG (unstructured)";
     const char* slug = item == &dlr2 ? "DLR2" : "sAMG";
     const auto bell = Bellpack<double>::from_csr(*item, 5, 5, 32);
-    const auto pjds = SlicedEll<double>::pjds(*item);
+    const auto pjds = SlicedEll<double>::from_csr(*item, 32, item->n_rows);
     const double bell_bpn = static_cast<double>(bell.bytes()) /
                             static_cast<double>(item->nnz());
     const double pjds_bpn = static_cast<double>(pjds.bytes()) /

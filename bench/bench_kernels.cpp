@@ -106,7 +106,6 @@ void bm_plan_spmv(benchmark::State& state, const PlanPtr& plan) {
   const auto& a = test_matrix();
   exec::LaunchOptions launch;
   launch.n_threads = static_cast<int>(state.range(0));
-  launch.basis = exec::Basis::plan;
   // The hybrid backend re-splits the CSR rows; the single-target
   // backends reuse the prebuilt plan outright.
   auto& eng = exec::engine<double>();

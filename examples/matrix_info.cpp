@@ -60,11 +60,14 @@ int main(int argc, char** argv) {
     ft.add_row({fname, fmt_count(f.stored_entries), fmt(fill, 1),
                 fmt(static_cast<double>(f.total_bytes(8)) / 1e6, 1)});
   };
-  add("CRS", footprint(a));
-  add("ELLPACK-R", footprint(SlicedEll<double>::ellpack(a, 32)));
-  add("JDS", footprint(Jds<double>::from_csr(a)));
-  add("sliced-ELL", footprint(SlicedEll<double>::from_csr(a, 32)));
-  add("pJDS", footprint(SlicedEll<double>::pjds(a)));
+  const std::pair<const char*, const char*> stored[] = {
+      {"CRS", "csr"},
+      {"ELLPACK-R", "ellpack_r"},
+      {"JDS", "jds"},
+      {"sliced-ELL", "sliced_ell"},
+      {"pJDS", "pjds"}};
+  for (const auto& [label, format] : stored)
+    add(label, formats::registry<double>().build(format, a)->footprint());
   std::printf("%s\n", ft.render().c_str());
 
   // Simulated device throughput (DP, ECC on).

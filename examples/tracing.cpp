@@ -12,10 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "sparse/sliced_ell.hpp"
 #include "dist/comm_plan.hpp"
 #include "dist/timeline.hpp"
-#include "gpusim/kernel_sim.hpp"
+#include "formats/registry.hpp"
 #include "matgen/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -67,9 +66,8 @@ int main(int argc, char** argv) {
   //    and the measured α of Eq. 1 as span args.
   {
     const auto a = make_poisson2d<double>(64, 64);
-    const auto p = SlicedEll<double>::pjds(a);
-    const auto res =
-        gpusim::simulate(gpusim::DeviceSpec::tesla_c2070(), p, "pjds");
+    const auto res = *formats::registry<double>().build("pjds", a)->simulate(
+        gpusim::DeviceSpec::tesla_c2070());
     std::printf("gpusim: pJDS on C2070, predicted %.2f us\n",
                 res.seconds * 1e6);
   }

@@ -24,8 +24,7 @@ const typename formats::FormatRegistry<T>::Entry& device_format(
   return *e;
 }
 
-/// Plan options of both parts: chunk = warp size, default (Listing 2)
-/// basis.
+/// Plan options of both parts: chunk = warp size.
 formats::PlanOptions part_options(const ClusterSpec& c) {
   formats::PlanOptions opts;
   opts.chunk = c.device.warp_size;

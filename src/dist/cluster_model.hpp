@@ -51,7 +51,7 @@ struct ClusterSpec {
   /// paper used ELLPACK-R throughout Sec. III; "an implementation of the
   /// multi-GPGPU code with the pJDS format ... is ongoing work" — that
   /// extension is "pjds". Both parts are built with chunk = warp size in
-  /// the default (Listing 2) basis. Unknown names and
+  /// the Listing 2 basis. Unknown names and
   /// formats without a simulated kernel (jds, bellpack, auto) throw
   /// spmvm::Error before anything is built.
   std::string matrix_format = "ellpack_r";

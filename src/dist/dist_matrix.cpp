@@ -37,17 +37,10 @@ void DistMatrix<T>::build_plans(const formats::FormatRegistry<T>& registry,
                 std::string("format '") + std::string(format) +
                     "' has no fused y += A*x kernel; the non-local "
                     "product accumulates in place");
-  formats::PlanOptions opts = options;
-  // Column relabeling never applies: the column spaces (owned block,
-  // halo slots) are fixed by the exchange layout.
-  opts.permute_columns = PermuteColumns::no;
-  auto lp = registry.build(format, local, opts);
-  SPMVM_REQUIRE(lp->permutation() == nullptr,
-                std::string("format '") + std::string(format) +
-                    "' permutes rows; the halo exchange needs the "
-                    "original row order");
-  local_plan = std::move(lp);
-  nonlocal_plan = n_halo > 0 ? registry.build(format, nonlocal, opts)
+  // Every such format writes y in the original row order, which the halo
+  // exchange addresses vector blocks by.
+  local_plan = registry.build(format, local, options);
+  nonlocal_plan = n_halo > 0 ? registry.build(format, nonlocal, options)
                              : nullptr;
   format_name = std::string(format);
 }

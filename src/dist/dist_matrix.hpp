@@ -45,17 +45,15 @@ struct DistMatrix {
 
   /// Kernel plans for the two parts, resolved through the format
   /// registry (distribute() defaults them to "csr"). The halo layout
-  /// fixes the row order, so only plans without a basis of their own
-  /// qualify (the sorted SELL-C-σ presets write through their row map).
+  /// fixes the row order; every format with a fused kernel keeps it (the
+  /// sorted SELL-C-σ presets write through their row map).
   std::string format_name = "csr";
   std::shared_ptr<const formats::FormatPlan<T>> local_plan;
   std::shared_ptr<const formats::FormatPlan<T>> nonlocal_plan;
 
-  /// (Re)build both kernel plans as `format`, columns never relabelled.
-  /// Throws, before building, for formats without a fused y += A·x
-  /// kernel (jds, bellpack, auto): the non-local product accumulates in
-  /// place. Throws for plans that report a row permutation: the halo
-  /// exchange addresses vector blocks by original row order.
+  /// (Re)build both kernel plans as `format`. Throws, before building,
+  /// for formats without a fused y += A·x kernel (jds, bellpack, auto):
+  /// the non-local product accumulates in place.
   void build_plans(const formats::FormatRegistry<T>& registry,
                    std::string_view format,
                    const formats::PlanOptions& options = {});

@@ -10,7 +10,6 @@
 // exec/dispatch.hpp is the only sanctioned raw-kernel surface.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -29,19 +28,10 @@ struct BackendInfo {
   bool uses_device = false;  // charges the simulated device + PCIe link
 };
 
-/// Basis the bound product's vectors live in. `original` hides row
-/// permutations entirely: x and y are original-basis vectors, and the
-/// backend carries them across the plan's permutation (jds,
-/// PermuteColumns::yes builds) per apply. `plan` applies in the plan's
-/// own basis with zero carry overhead — the paper's recommended solver
-/// usage (permute once before and after the whole iteration, Sec. II-A).
-enum class Basis : std::uint8_t { original, plan };
-
 /// Per-bind launch knobs, shared by every backend (each reads the
 /// fields that apply to it).
 struct LaunchOptions {
   int n_threads = 1;
-  Basis basis = Basis::original;
   /// gpusim/hybrid: keep x and y device-resident, skipping the per-call
   /// PCIe staging of Eq. 2 (Sec. III "parts of those vectors may be
   /// kept on the device").
@@ -72,7 +62,8 @@ class BoundSpmv {
   /// than one plan (hybrid).
   virtual const formats::FormatPlan<T>* plan() const { return nullptr; }
 
-  /// y = A·x (basis per LaunchOptions::basis).
+  /// y = A·x, x and y in the original basis: backends store `jds`'s
+  /// sorted rows back at their original indices.
   virtual void apply(std::span<const T> x, std::span<T> y) = 0;
 
   /// Block-RHS launch Y = A·X for k row-major interleaved vectors

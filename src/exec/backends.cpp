@@ -1,6 +1,6 @@
 // The three execution backends (DESIGN.md §13).
 //
-//   host    pooled host kernels in the plan's or the original basis
+//   host    pooled host kernels in the original basis
 //   gpusim  plan resident on the simulated GPGPU: numerics on the host
 //           mirror, timing from the warp-granular kernel simulation
 //           (or a generic Eq. 1 bandwidth bound for formats without a
@@ -13,8 +13,8 @@
 //
 // Bit-identity contract (test_exec_backends): all backends accumulate
 // each row's entries in the same order — host and gpusim share the
-// format kernels outright, and the hybrid parts are bound with
-// PermuteColumns::no so sub-matrix row sorting never relabels columns.
+// format kernels outright, and no plan relabels columns, so sorting a
+// hybrid part's rows never changes the order a row sums in.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -94,49 +94,28 @@ class HostBound final : public BoundSpmv<T> {
   void apply(std::span<const T> x, std::span<T> y) override {
     this->check_spans(x, y);
     const Permutation* perm = plan_->permutation();
-    if (launch_.basis == Basis::plan || perm == nullptr) {
+    if (perm == nullptr) {
       plan_->spmv(x, y, launch_.n_threads);
       return;
     }
-    // Original basis: carry the vectors across the plan's row
-    // permutation (jds, PermuteColumns::yes) around every product
-    // (Basis::plan is the zero-carry solver path, Sec. II-A).
-    std::span<const T> xin = x;
-    if (plan_->columns_permuted()) {
-      xperm_.resize(static_cast<std::size_t>(plan_->n_cols()));
-      perm->to_permuted(x.first(xperm_.size()), std::span<T>(xperm_));
-      xin = std::span<const T>(xperm_);
-    }
+    // jds stores y in sorted row order: scatter it back.
     yperm_.resize(static_cast<std::size_t>(plan_->n_rows()));
-    plan_->spmv(xin, std::span<T>(yperm_), launch_.n_threads);
+    plan_->spmv(x, std::span<T>(yperm_), launch_.n_threads);
     perm->from_permuted(std::span<const T>(yperm_), y);
   }
 
   void apply_block(std::span<const T> x, std::span<T> y, int k) override {
     this->check_block(x, y, k);
     const Permutation* perm = plan_->permutation();
-    if (launch_.basis == Basis::plan || perm == nullptr) {
+    if (perm == nullptr) {
       plan_->spmmv(x, y, k, launch_.n_threads);
       return;
     }
-    // Original basis: the Permutation handle carries single vectors, so
-    // blocks move whole k-wide row groups across the row permutation.
+    // Sorted row order: move whole k-wide row groups back.
     const auto kk = static_cast<std::size_t>(k);
-    const auto cols = static_cast<std::size_t>(plan_->n_cols());
     const auto rows = static_cast<std::size_t>(plan_->n_rows());
-    std::span<const T> xin = x;
-    if (plan_->columns_permuted()) {
-      xperm_.resize(cols * kk);
-      for (std::size_t r = 0; r < cols; ++r) {
-        const auto o = static_cast<std::size_t>(
-            perm->old_of(static_cast<index_t>(r)));
-        for (std::size_t v = 0; v < kk; ++v)
-          xperm_[r * kk + v] = x[o * kk + v];
-      }
-      xin = std::span<const T>(xperm_);
-    }
     yperm_.resize(rows * kk);
-    plan_->spmmv(xin, std::span<T>(yperm_), k, launch_.n_threads);
+    plan_->spmmv(x, std::span<T>(yperm_), k, launch_.n_threads);
     for (std::size_t r = 0; r < rows; ++r) {
       const auto o = static_cast<std::size_t>(
           perm->old_of(static_cast<index_t>(r)));
@@ -146,9 +125,7 @@ class HostBound final : public BoundSpmv<T> {
 
   void apply_axpby(std::span<const T> x, std::span<T> y, T alpha,
                    T beta) override {
-    const bool plan_basis =
-        launch_.basis == Basis::plan || plan_->permutation() == nullptr;
-    if (plan_basis && plan_->info().native_axpby) {
+    if (plan_->info().native_axpby) {
       this->check_spans(x, y);
       if (plan_->spmv_axpby(x, y, alpha, beta, launch_.n_threads)) return;
     }
@@ -158,7 +135,7 @@ class HostBound final : public BoundSpmv<T> {
  private:
   std::shared_ptr<const formats::FormatPlan<T>> plan_;
   LaunchOptions launch_;
-  std::vector<T> xperm_, yperm_;
+  std::vector<T> yperm_;
 };
 
 template <class T>
@@ -363,7 +340,7 @@ class HybridBound final : public BoundSpmv<T> {
  public:
   HybridBound(std::shared_ptr<TransferManager> tm,
               const obs::RooflineSpec& roofs, const Csr<T>& a,
-              std::string_view format, formats::PlanOptions opts,
+              std::string_view format, const formats::PlanOptions& opts,
               const LaunchOptions& launch)
       : n_rows_(a.n_rows),
         n_cols_(a.n_cols),
@@ -395,12 +372,7 @@ class HybridBound final : public BoundSpmv<T> {
                       ? 0
                       : a.row_ptr[static_cast<std::size_t>(split_)];
 
-    // Sub-matrices are rectangular, and identical per-row accumulation
-    // order across backends is part of the contract — bind both parts
-    // without symmetric column relabeling.
-    opts.permute_columns = PermuteColumns::no;
     LaunchOptions part = launch;
-    part.basis = Basis::original;
     part.device_share = -1.0;
     if (split_ > 0)
       dev_part_ = std::make_unique<GpusimBound<T>>(

@@ -33,7 +33,7 @@ inline void host_spmv_axpby(const Csr<T>& a, std::span<const T> x,
   spmv_axpby(a, x, y, alpha, beta, n_threads);
 }
 
-/// y = A·x in the plan's own basis (see formats::FormatPlan).
+/// y = A·x; `jds` stores y in sorted row order (see formats::FormatPlan).
 template <class T>
 inline void plan_spmv(const formats::FormatPlan<T>& plan,
                       std::span<const T> x, std::span<T> y,

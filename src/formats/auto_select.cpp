@@ -46,7 +46,6 @@ class AutoPlan final : public FormatPlan<T> {
   const Permutation* permutation() const override {
     return chosen_->permutation();
   }
-  bool columns_permuted() const override { return chosen_->columns_permuted(); }
   std::optional<gpusim::KernelResult> simulate(
       const gpusim::DeviceSpec& dev,
       const gpusim::SimOptions& opt) const override {

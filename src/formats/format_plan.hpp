@@ -48,12 +48,6 @@ struct PlanOptions {
   /// BELLPACK tile shape.
   index_t block_r = 4;
   index_t block_c = 4;
-  /// Relabel columns with the row permutation (symmetric permutation) in
-  /// row-sorting formats so solvers can iterate entirely in the permuted
-  /// basis. Automatically demoted to `no` for non-square matrices. The
-  /// default `no` is the paper's Listing 2 basis (sorted rows, original
-  /// col_idx[]).
-  PermuteColumns permute_columns = PermuteColumns::no;
 
   // ---- `auto` plan only ----
   /// Confirm the Eq. 1 ranking with a measured probe of the top
@@ -83,11 +77,13 @@ struct AutoChoice {
   std::size_t model_index = 0;
 };
 
-/// One matrix held in one storage format. Basis convention: when
-/// permutation() is non-null the plan's kernels work in the permuted
-/// basis — spmv computes y_perm = A_perm·x(_perm) exactly like the
-/// underlying format kernels (the host-kernel layer in src/sparse). Callers that
-/// need the original basis carry vectors across with the handle.
+/// One matrix held in one storage format, built in the paper's Listing 2
+/// basis: rows may be sorted, columns keep their labels, so x is always
+/// an original-basis vector. Every plan but `jds` also writes y in the
+/// original basis; `jds` writes y in sorted row order and reports that
+/// order as permutation() (carry y back with from_permuted). A caller
+/// that wants to iterate in a sorted basis permutes the matrix up front
+/// (permute_csr, sparse/convert.hpp) and builds from that.
 template <class T>
 class FormatPlan {
  public:
@@ -104,7 +100,7 @@ class FormatPlan {
   /// Recover the original matrix (fill dropped, permutations undone).
   virtual Csr<T> to_csr() const = 0;
 
-  /// y = A·x (permuted basis when permutation() != nullptr).
+  /// y = A·x (y in sorted row order when permutation() != nullptr).
   virtual void spmv(std::span<const T> x, std::span<T> y,
                     int n_threads = 1) const = 0;
 
@@ -137,14 +133,9 @@ class FormatPlan {
     }
   }
 
-  /// Row permutation of the plan's basis; nullptr when the kernels read
-  /// and write the original basis. Only `jds` and PermuteColumns::yes
-  /// builds of the sorted SELL-C-σ presets have one.
+  /// Row order spmv() stores y in; nullptr when it writes the original
+  /// basis. Only `jds` has one.
   virtual const Permutation* permutation() const { return nullptr; }
-
-  /// Whether columns were relabeled with the row permutation (symmetric
-  /// permutation); only meaningful when permutation() != nullptr.
-  virtual bool columns_permuted() const { return false; }
 
   /// Simulate one spMVM of this plan's kernel on `dev`; nullopt when the
   /// format has no simulated kernel (info().has_sim_kernel == false).

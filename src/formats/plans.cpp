@@ -47,8 +47,7 @@ Footprint JdsPlan<T>::footprint() const {
 
 template <class T>
 Csr<T> JdsPlan<T>::to_csr() const {
-  return spmvm::to_csr(
-      a_, columns_permuted_ ? PermuteColumns::yes : PermuteColumns::no);
+  return spmvm::to_csr(a_);
 }
 
 template <class T>

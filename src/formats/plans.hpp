@@ -43,8 +43,7 @@ class CsrPlan final : public FormatPlan<T> {
 template <class T>
 class JdsPlan final : public FormatPlan<T> {
  public:
-  JdsPlan(Jds<T> a, const FormatInfo& info, bool columns_permuted)
-      : a_(std::move(a)), info_(&info), columns_permuted_(columns_permuted) {}
+  JdsPlan(Jds<T> a, const FormatInfo& info) : a_(std::move(a)), info_(&info) {}
   const Jds<T>& format() const { return a_; }
 
   const FormatInfo& info() const override { return *info_; }
@@ -56,21 +55,18 @@ class JdsPlan final : public FormatPlan<T> {
   void spmv(std::span<const T> x, std::span<T> y,
             int n_threads) const override;
   const Permutation* permutation() const override { return &a_.perm; }
-  bool columns_permuted() const override { return columns_permuted_; }
 
  private:
   Jds<T> a_;
   const FormatInfo* info_;
-  bool columns_permuted_;
 };
 
 /// Every SELL-C-σ preset: `ellpack`, `ellpack_r`, `sliced_ell`,
 /// `sell_c_sigma` and `pjds` (sparse/sliced_ell.hpp). They share the host
 /// kernels; `full_width` (plain ELLPACK, Fig. 2a) makes every simulated
 /// lane run the slice width and leaves row_len[] out of the footprint.
-/// A row-sorted image that keeps its column labels writes y through its
-/// row map (SlicedEll::row_map()), so only a PermuteColumns::yes image
-/// reports its permutation.
+/// A row-sorted image writes y through its row map
+/// (SlicedEll::row_map()), so no preset reports a permutation.
 template <class T>
 class SlicedEllPlan final : public FormatPlan<T> {
  public:
@@ -90,10 +86,6 @@ class SlicedEllPlan final : public FormatPlan<T> {
                   int n_threads) const override;
   void spmmv(std::span<const T> x, std::span<T> y, int k,
              int n_threads) const override;
-  const Permutation* permutation() const override {
-    return a_.sort_window > 1 && a_.columns_permuted ? &a_.perm : nullptr;
-  }
-  bool columns_permuted() const override { return a_.columns_permuted; }
   std::optional<gpusim::KernelResult> simulate(
       const gpusim::DeviceSpec& dev,
       const gpusim::SimOptions& opt) const override;

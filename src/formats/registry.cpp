@@ -11,13 +11,6 @@ namespace spmvm::formats {
 
 namespace {
 
-/// Row-sorting formats relabel columns only for square matrices (the
-/// symmetric permutation P·A·Pᵀ is undefined otherwise).
-template <class T>
-PermuteColumns effective_permute(const Csr<T>& a, const PlanOptions& opts) {
-  return a.n_rows == a.n_cols ? opts.permute_columns : PermuteColumns::no;
-}
-
 template <class T>
 std::unique_ptr<FormatPlan<T>> build_csr(const Csr<T>& a,
                                          const PlanOptions&,
@@ -31,12 +24,9 @@ Footprint size_csr(const Csr<T>& a, const PlanOptions&) {
 }
 
 template <class T>
-std::unique_ptr<FormatPlan<T>> build_jds(const Csr<T>& a,
-                                         const PlanOptions& opts,
+std::unique_ptr<FormatPlan<T>> build_jds(const Csr<T>& a, const PlanOptions&,
                                          const FormatInfo& info) {
-  const PermuteColumns pc = effective_permute(a, opts);
-  return std::make_unique<JdsPlan<T>>(Jds<T>::from_csr(a, pc), info,
-                                      pc == PermuteColumns::yes);
+  return std::make_unique<JdsPlan<T>>(Jds<T>::from_csr(a), info);
 }
 
 template <class T>
@@ -62,37 +52,33 @@ Footprint size_bellpack(const Csr<T>& a, const PlanOptions& opts) {
 struct SellPreset {
   index_t slice_height;  // C
   index_t sort_window;   // σ
-  PermuteColumns permute_columns;
   bool full_width;  // plain ELLPACK: no row_len[] read or stored
 };
 
 template <class T>
 SellPreset ellpack_preset(const Csr<T>& a, const PlanOptions& opts) {
-  return {ellpack_slice_height(a.n_rows, opts.chunk), 1, PermuteColumns::no,
-          true};
+  return {ellpack_slice_height(a.n_rows, opts.chunk), 1, true};
 }
 
 template <class T>
 SellPreset ellpack_r_preset(const Csr<T>& a, const PlanOptions& opts) {
-  return {ellpack_slice_height(a.n_rows, opts.chunk), 1, PermuteColumns::no,
-          false};
+  return {ellpack_slice_height(a.n_rows, opts.chunk), 1, false};
 }
 
 template <class T>
 SellPreset sliced_ell_preset(const Csr<T>&, const PlanOptions& opts) {
-  return {opts.chunk, 1, PermuteColumns::no, false};
+  return {opts.chunk, 1, false};
 }
 
 template <class T>
-SellPreset sell_c_sigma_preset(const Csr<T>& a, const PlanOptions& opts) {
+SellPreset sell_c_sigma_preset(const Csr<T>&, const PlanOptions& opts) {
   return {opts.chunk, opts.sort_window > 0 ? opts.sort_window : 8 * opts.chunk,
-          effective_permute(a, opts), false};
+          false};
 }
 
 template <class T>
 SellPreset pjds_preset(const Csr<T>& a, const PlanOptions& opts) {
-  return {opts.chunk, std::max<index_t>(a.n_rows, 1),
-          effective_permute(a, opts), false};
+  return {opts.chunk, std::max<index_t>(a.n_rows, 1), false};
 }
 
 template <class T>
@@ -104,9 +90,8 @@ std::unique_ptr<FormatPlan<T>> build_sell(const Csr<T>& a,
                                           const FormatInfo& info) {
   const SellPreset p = Preset(a, opts);
   return std::make_unique<SlicedEllPlan<T>>(
-      SlicedEll<T>::from_csr(a, p.slice_height, p.sort_window,
-                             p.permute_columns),
-      info, p.full_width);
+      SlicedEll<T>::from_csr(a, p.slice_height, p.sort_window), info,
+      p.full_width);
 }
 
 template <class T, PresetFn<T> Preset>

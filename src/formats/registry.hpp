@@ -5,9 +5,8 @@
 // format and simulator benches, the examples) resolves plans by name
 // here instead; adding a format is one register_format() call. Which
 // SELL-C-σ preset a name means (C, σ, row sort, full width) is decided
-// only in registry.cpp; the column basis is the caller's PlanOptions.
-// registry<T>() returns the process-wide instance pre-loaded with the
-// built-in formats:
+// only in registry.cpp. registry<T>() returns the process-wide instance
+// pre-loaded with the built-in formats:
 //
 //   csr          CSR, thread-per-row host kernel, CSR-vector sim kernel
 //   ellpack      ELLPACK rectangle, full-width kernel (Fig. 2a)
@@ -21,10 +20,10 @@
 //
 // ellpack, ellpack_r, sliced_ell, sell_c_sigma and pjds are presets of
 // one SELL-C-σ storage (sparse/sliced_ell.hpp) with one SlicedEllPlan.
-// The default PlanOptions are the paper's Listing 2 basis (rows sorted,
-// columns keep their labels), which every simulator consumer times;
-// PermuteColumns::yes is the opt-in of solvers that iterate in the
-// permuted basis.
+// Every plan is built in the paper's Listing 2 basis (rows sorted,
+// columns keep their labels), which every simulator consumer times. A
+// solver that iterates in the sorted basis builds from permute_csr's
+// P·A·Pᵀ (sparse/convert.hpp) instead.
 //
 // Every concrete format also registers a sizer next to its builder: the
 // Footprint the builder's plan would report, computed by the builder's

@@ -160,7 +160,7 @@ ServerOptions ServerOptions::from_env() {
 }
 
 struct Server::Entry {
-  std::unique_ptr<exec::BoundSpmv<double>> bound;  // in Basis::original
+  std::unique_ptr<exec::BoundSpmv<double>> bound;  // original basis
   std::mutex launch_mutex;  // BoundSpmv handles are not thread-safe
   int target_k = 1;
   index_t n_rows = 0;
@@ -194,7 +194,7 @@ void Server::register_matrix(const std::string& name, const Csr<double>& a) {
   exec::LaunchOptions launch;
   launch.n_threads = opt_.kernel_threads;
   // Original basis: the sorted SELL-C-σ presets write y through their
-  // row map, so only jds's plan has a basis for the backend to carry.
+  // row map; only jds's sorted y is scattered back by the backend.
   entry->bound = engine_.bind(opt_.backend, a, opt_.format, {}, launch);
   const double nnzr =
       a.n_rows > 0 ? static_cast<double>(a.nnz()) /

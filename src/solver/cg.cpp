@@ -1,6 +1,5 @@
 #include "solver/cg.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "obs/ledger.hpp"
@@ -65,47 +64,9 @@ CgResult cg(const Operator<T>& a, std::span<const T> b, std::span<T> x,
   return result;
 }
 
-template <class T>
-CgResult cg_with_format(const Csr<T>& a, std::span<const T> b, std::span<T> x,
-                        std::string_view format, double tol,
-                        int max_iterations,
-                        const formats::PlanOptions& options) {
-  formats::PlanOptions opt = options;
-  opt.permute_columns = PermuteColumns::yes;
-  const auto plan = formats::registry<T>().build(format, a, opt);
-  const auto n = static_cast<std::size_t>(a.n_rows);
-  const Permutation* perm = plan->permutation();
-
-  // Permute once on entry (identity for non-sorting formats)...
-  std::vector<T> b_perm(n), x_perm(n);
-  if (perm != nullptr) {
-    perm->to_permuted(b, std::span<T>(b_perm));
-    perm->to_permuted(std::span<const T>(x), std::span<T>(x_perm));
-  } else {
-    std::copy(b.begin(), b.end(), b_perm.begin());
-    std::copy(x.begin(), x.end(), x_perm.begin());
-  }
-
-  // ... iterate entirely in the plan's basis ...
-  const auto op = make_operator<T>(plan);
-  const CgResult result =
-      cg(op, std::span<const T>(b_perm), std::span<T>(x_perm), tol,
-         max_iterations);
-
-  // ... and permute once on exit.
-  if (perm != nullptr)
-    perm->from_permuted(std::span<const T>(x_perm), x);
-  else
-    std::copy(x_perm.begin(), x_perm.end(), x.begin());
-  return result;
-}
-
-#define SPMVM_INSTANTIATE_CG(T)                                        \
-  template CgResult cg(const Operator<T>&, std::span<const T>,         \
-                       std::span<T>, double, int);                     \
-  template CgResult cg_with_format(                                    \
-      const Csr<T>&, std::span<const T>, std::span<T>,                 \
-      std::string_view, double, int, const formats::PlanOptions&)
+#define SPMVM_INSTANTIATE_CG(T)                                \
+  template CgResult cg(const Operator<T>&, std::span<const T>, \
+                       std::span<T>, double, int)
 
 SPMVM_INSTANTIATE_CG(float);
 SPMVM_INSTANTIATE_CG(double);

@@ -1,6 +1,6 @@
 // Conjugate Gradient — the archetypal "sparse solver dominated by spMVM"
-// the paper's introduction motivates, on an operator or through any
-// registered storage format (e.g. "pjds", iterating in its basis).
+// the paper's introduction motivates, on any Operator (operator.hpp), so
+// through any registered storage format or execution backend.
 #pragma once
 
 #include "solver/operator.hpp"
@@ -20,22 +20,9 @@ template <class T>
 CgResult cg(const Operator<T>& a, std::span<const T> b, std::span<T> x,
             double tol = 1e-10, int max_iterations = 1000);
 
-/// CG through any registered storage format: builds the plan (symmetric
-/// permutation for row-sorting formats), permutes b and the initial guess
-/// once, iterates in the plan's basis, and permutes the solution back —
-/// the workflow of Sec. II-A generalized over the format registry.
-template <class T>
-CgResult cg_with_format(const Csr<T>& a, std::span<const T> b, std::span<T> x,
-                        std::string_view format, double tol = 1e-10,
-                        int max_iterations = 1000,
-                        const formats::PlanOptions& options = {});
-
 #define SPMVM_EXTERN_CG(T)                                             \
   extern template CgResult cg(const Operator<T>&, std::span<const T>,  \
-                              std::span<T>, double, int);              \
-  extern template CgResult cg_with_format(                             \
-      const Csr<T>&, std::span<const T>, std::span<T>,                 \
-      std::string_view, double, int, const formats::PlanOptions&)
+                              std::span<T>, double, int)
 
 SPMVM_EXTERN_CG(float);
 SPMVM_EXTERN_CG(double);

@@ -1,10 +1,10 @@
 // Type-erased linear operator y = A·x for the Krylov solvers. Storage
 // formats enter through the format registry: make_operator(registry,
-// name, csr) resolves any registered format. Row-sorting ones built with
-// PermuteColumns::yes keep the solver entirely in the permuted basis, the
-// paper's recommended usage where permutation happens only before and
-// after the iteration (Sec. II-A); in the default column basis the
-// sorted SELL-C-σ presets apply in the original basis. Execution
+// name, csr) resolves any registered format, and the sorted SELL-C-σ
+// presets apply in the original basis. To iterate in the sorted basis
+// instead, the paper's recommended usage where permutation happens only
+// before and after the iteration (Sec. II-A), permute the matrix once
+// (permute_csr, sparse/convert.hpp) and build from that. Execution
 // backends enter through the exec engine: make_operator(bound) wraps
 // any exec::BoundSpmv, so a solver can iterate on the host, the
 // simulated GPGPU, or the hybrid CPU+GPU split without knowing which.
@@ -94,19 +94,18 @@ Operator<T> make_operator(std::shared_ptr<const Csr<T>> a, int n_threads = 1) {
       });
 }
 
-/// Operator over a format plan, applied in the plan's own basis: for
-/// plans with a permutation (PermuteColumns::yes builds of the row-sorting
-/// formats) x and y are *permuted* vectors (carry them across with
-/// plan->permutation()). Requires a self-consistent basis — either no
-/// permutation or symmetric column relabeling — so that repeated
-/// applications compose (what Krylov iterations do).
+/// Operator over a format plan. Repeated applications must compose (what
+/// Krylov iterations do), so x and y must share a basis: plans that store
+/// y in sorted row order (`jds`) are rejected; bind them through the exec
+/// engine instead, which scatters y back.
 template <class T>
 Operator<T> make_operator(std::shared_ptr<const formats::FormatPlan<T>> plan,
                           int n_threads = 1) {
   SPMVM_REQUIRE(plan->n_rows() == plan->n_cols(),
                 "solvers need a square operator");
-  SPMVM_REQUIRE(plan->permutation() == nullptr || plan->columns_permuted(),
-                "permuted-basis solver needs PermuteColumns::yes");
+  SPMVM_REQUIRE(plan->permutation() == nullptr,
+                "solver operator needs a plan that writes y in the original "
+                "basis");
   const index_t n = plan->n_rows();
   typename Operator<T>::ApplyAxpbyFn axpby = nullptr;
   if (plan->info().native_axpby)
@@ -142,9 +141,7 @@ Operator<T> make_operator(std::shared_ptr<exec::BoundSpmv<T>> bound) {
 
 /// Build `format` from `a` through the registry and wrap it as an
 /// operator — the one-line factory every former per-format overload
-/// collapsed into. The plan is owned by the returned Operator; use the
-/// two-step form (registry.build + make_operator) when the caller needs
-/// the permutation handle.
+/// collapsed into. The plan is owned by the returned Operator.
 template <class T>
 Operator<T> make_operator(const formats::FormatRegistry<T>& registry,
                           std::string_view format, const Csr<T>& a,

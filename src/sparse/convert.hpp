@@ -1,8 +1,10 @@
 // Structure-changing CSR transformations: permutation and transpose.
 //
 // The row-sorting formats (JDS and the sorted SELL-C-σ presets) read the
-// CSR in place through their row permutation; they materialise the
-// permuted matrix here only when columns are relabelled too.
+// CSR in place through their row permutation. permute_csr with
+// PermuteColumns::yes is the one place a matrix is carried into a sorted
+// basis (P·A·Pᵀ): a solver that iterates there permutes once, up front,
+// and builds any format from the result.
 #pragma once
 
 #include "sparse/csr.hpp"

@@ -1,12 +1,13 @@
 #include "sparse/jds.hpp"
 
-#include "sparse/convert.hpp"
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace spmvm {
 
 template <class T>
-Jds<T> Jds<T>::from_csr(const Csr<T>& a, PermuteColumns permute_columns) {
+Jds<T> Jds<T>::from_csr(const Csr<T>& a) {
   Jds<T> m;
   m.n_rows = a.n_rows;
   m.n_cols = a.n_cols;
@@ -17,19 +18,12 @@ Jds<T> Jds<T>::from_csr(const Csr<T>& a, PermuteColumns permute_columns) {
   for (index_t i = 0; i < a.n_rows; ++i)
     lens[static_cast<std::size_t>(i)] = a.row_len(i);
   m.perm = Permutation::sort_descending(lens, std::max<index_t>(a.n_rows, 1));
-  // Sorted row i is row src_row(i) of `p`: `a` itself, read through the
-  // permutation, unless columns are relabelled (permute_csr then
-  // re-sorts each row by its new column labels).
-  const bool relabel = permute_columns == PermuteColumns::yes;
-  Csr<T> relabelled;
-  if (relabel) relabelled = permute_csr(a, m.perm, PermuteColumns::yes);
-  const Csr<T>& p = relabel ? relabelled : a;
-  const index_t* old = relabel ? nullptr : m.perm.new_to_old().data();
-  const auto src_row = [old](index_t i) { return old != nullptr ? old[i] : i; };
+  // Sorted row i is row old[i] of `a`, read in place.
+  const index_t* old = m.perm.new_to_old().data();
 
   m.row_len.resize(static_cast<std::size_t>(a.n_rows));
   for (index_t i = 0; i < a.n_rows; ++i)
-    m.row_len[static_cast<std::size_t>(i)] = p.row_len(src_row(i));
+    m.row_len[static_cast<std::size_t>(i)] = a.row_len(old[i]);
 
   // Diagonal j holds one entry for every row with length > j; because rows
   // are sorted descending those are exactly rows 0..L_j-1.
@@ -46,13 +40,13 @@ Jds<T> Jds<T>::from_csr(const Csr<T>& a, PermuteColumns permute_columns) {
   // Row by row, so each source row is read once and in order: entry j of
   // sorted row i is entry i of diagonal j.
   for (index_t i = 0; i < m.n_rows; ++i) {
-    const offset_t rb = p.row_ptr[static_cast<std::size_t>(src_row(i))];
+    const offset_t rb = a.row_ptr[static_cast<std::size_t>(old[i])];
     for (index_t j = 0; j < m.row_len[static_cast<std::size_t>(i)]; ++j) {
       const auto dst =
           static_cast<std::size_t>(m.jd_ptr[static_cast<std::size_t>(j)] + i);
       const auto src = static_cast<std::size_t>(rb + j);
-      m.col_idx[dst] = p.col_idx[src];
-      m.val[dst] = p.val[src];
+      m.col_idx[dst] = a.col_idx[src];
+      m.val[dst] = a.val[src];
     }
   }
   return m;

@@ -22,8 +22,9 @@ struct Jds {
   AlignedVector<T> val;            // nnz
   AlignedVector<index_t> row_len;  // per permuted row (non-increasing)
 
-  static Jds from_csr(const Csr<T>& a,
-                      PermuteColumns permute_columns = PermuteColumns::no);
+  /// Rows sorted, columns keep their labels: y comes out in sorted row
+  /// order (perm.from_permuted carries it back), x in the original basis.
+  static Jds from_csr(const Csr<T>& a);
 
   /// Rows participating in diagonal j.
   index_t diag_len(index_t j) const {

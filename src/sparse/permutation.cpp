@@ -78,36 +78,13 @@ Permutation Permutation::sort_descending(std::span<const index_t> keys,
   return p;
 }
 
-Permutation Permutation::from_new_to_old(std::vector<index_t> new_to_old) {
-  Permutation p;
-  p.new_to_old_ = std::move(new_to_old);
-  p.rebuild_inverse();  // also validates bijectivity
-  return p;
-}
-
-bool Permutation::is_identity() const {
-  for (index_t r = 0; r < size(); ++r)
-    if (old_of(r) != r) return false;
-  return true;
-}
-
 void Permutation::rebuild_inverse() {
-  const auto n = new_to_old_.size();
-  old_to_new_.assign(n, index_t{-1});
-  for (std::size_t r = 0; r < n; ++r) {
-    const index_t o = new_to_old_[r];
-    SPMVM_REQUIRE(o >= 0 && static_cast<std::size_t>(o) < n,
-                  "permutation entry out of range");
-    SPMVM_REQUIRE(old_to_new_[static_cast<std::size_t>(o)] == -1,
-                  "permutation entry duplicated");
-    old_to_new_[static_cast<std::size_t>(o)] = static_cast<index_t>(r);
-  }
+  old_to_new_.resize(new_to_old_.size());
+  for (std::size_t r = 0; r < new_to_old_.size(); ++r)
+    old_to_new_[static_cast<std::size_t>(new_to_old_[r])] =
+        static_cast<index_t>(r);
 }
 
-template void Permutation::to_permuted<float>(std::span<const float>,
-                                              std::span<float>) const;
-template void Permutation::to_permuted<double>(std::span<const double>,
-                                               std::span<double>) const;
 template void Permutation::from_permuted<float>(std::span<const float>,
                                                 std::span<float>) const;
 template void Permutation::from_permuted<double>(std::span<const double>,

@@ -1,8 +1,11 @@
-// Row/column permutations.
+// Row permutations.
 //
-// pJDS and JDS reorder matrix rows by descending row length. Iterative
-// solvers then run entirely in the permuted basis; vectors are permuted
-// once on entry and once on exit (Sec. II-A of the paper).
+// pJDS, SELL-C-σ and JDS reorder matrix rows by descending row length.
+// The sorted SELL images store each row back at its original index; JDS
+// stores y in sorted row order, and from_permuted carries it back. A
+// solver that wants to iterate in the sorted basis permutes the matrix
+// once, P·A·Pᵀ (permute_csr in sparse/convert.hpp), before building any
+// format (Sec. II-A of the paper).
 #pragma once
 
 #include <span>
@@ -28,11 +31,7 @@ class Permutation {
   static Permutation sort_descending(std::span<const index_t> keys,
                                      index_t window);
 
-  /// Build from an explicit new->old map (validated).
-  static Permutation from_new_to_old(std::vector<index_t> new_to_old);
-
   index_t size() const { return static_cast<index_t>(new_to_old_.size()); }
-  bool is_identity() const;
 
   /// Original index of permuted position r.
   index_t old_of(index_t r) const {
@@ -44,15 +43,6 @@ class Permutation {
   }
 
   const std::vector<index_t>& new_to_old() const { return new_to_old_; }
-  const std::vector<index_t>& old_to_new() const { return old_to_new_; }
-
-  /// dst[r] = src[old_of(r)] — carry a vector into the permuted basis.
-  template <class T>
-  void to_permuted(std::span<const T> src, std::span<T> dst) const {
-    for (index_t r = 0; r < size(); ++r)
-      dst[static_cast<std::size_t>(r)] =
-          src[static_cast<std::size_t>(old_of(r))];
-  }
 
   /// dst[old_of(r)] = src[r] — carry a vector back to the original basis.
   template <class T>
@@ -68,16 +58,12 @@ class Permutation {
   void rebuild_inverse();
 };
 
-/// Whether a format build should also relabel columns with the same
-/// permutation (symmetric permutation, P·A·Pᵀ). Symmetric permutation is
-/// what lets Krylov solvers iterate entirely in the permuted basis; row-only
+/// Whether permute_csr also relabels columns with the same permutation
+/// (symmetric permutation, P·A·Pᵀ). Symmetric permutation is what lets
+/// Krylov solvers iterate entirely in the permuted basis; row-only
 /// permutation (P·A) leaves the RHS vector in the original basis.
 enum class PermuteColumns { no, yes };
 
-extern template void Permutation::to_permuted<float>(std::span<const float>,
-                                                     std::span<float>) const;
-extern template void Permutation::to_permuted<double>(std::span<const double>,
-                                                      std::span<double>) const;
 extern template void Permutation::from_permuted<float>(std::span<const float>,
                                                        std::span<float>) const;
 extern template void Permutation::from_permuted<double>(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sparse/convert.hpp"
 #include "util/error.hpp"
 
 namespace spmvm {
@@ -30,8 +29,7 @@ index_t ellpack_slice_height(index_t n_rows, index_t chunk) {
 
 template <class T>
 SlicedEll<T> SlicedEll<T>::from_csr(const Csr<T>& a, index_t slice_height,
-                                    index_t sort_window,
-                                    PermuteColumns permute_columns) {
+                                    index_t sort_window) {
   SPMVM_REQUIRE(slice_height >= 1, "slice height must be >= 1");
   SPMVM_REQUIRE(sort_window >= 1, "sort window must be >= 1");
   SlicedEll<T> m;
@@ -42,32 +40,24 @@ SlicedEll<T> SlicedEll<T>::from_csr(const Csr<T>& a, index_t slice_height,
   m.n_slices = (a.n_rows + slice_height - 1) / slice_height;
   m.padded_rows = m.n_slices * slice_height;
   m.nnz = a.nnz();
-  m.columns_permuted = permute_columns == PermuteColumns::yes;
 
-  // Image row i is row src_row(i) of `p`. Only a symmetric relabel
-  // materialises the permuted copy (permute_csr re-sorts each row by its
-  // new column labels); otherwise every row is read from `a` in place,
-  // through the permutation when rows are sorted.
-  Csr<T> relabelled;
+  // Image row i is row src_row(i) of `a`, read in place: through the
+  // permutation when rows are sorted.
   const index_t* old = nullptr;
   if (sort_window > 1) {
     std::vector<index_t> lens(static_cast<std::size_t>(a.n_rows));
     for (index_t i = 0; i < a.n_rows; ++i)
       lens[static_cast<std::size_t>(i)] = a.row_len(i);
     m.perm = Permutation::sort_descending(lens, sort_window);
-    if (m.columns_permuted)
-      relabelled = permute_csr(a, m.perm, PermuteColumns::yes);
-    else
-      old = m.perm.new_to_old().data();
+    old = m.perm.new_to_old().data();
   } else {
     m.perm = Permutation::identity(a.n_rows);
   }
-  const Csr<T>& p = sort_window > 1 && m.columns_permuted ? relabelled : a;
   const auto src_row = [old](index_t i) { return old != nullptr ? old[i] : i; };
 
   m.row_len.assign(static_cast<std::size_t>(m.padded_rows), index_t{0});
   for (index_t i = 0; i < a.n_rows; ++i)
-    m.row_len[static_cast<std::size_t>(i)] = p.row_len(src_row(i));
+    m.row_len[static_cast<std::size_t>(i)] = a.row_len(src_row(i));
 
   m.slice_ptr = slice_offsets(m.row_len, slice_height);
 
@@ -79,29 +69,17 @@ SlicedEll<T> SlicedEll<T>::from_csr(const Csr<T>& a, index_t slice_height,
     for (index_t r = 0; r < slice_height; ++r) {
       const index_t i = s * slice_height + r;
       if (i >= m.n_rows) continue;
-      const offset_t rb = p.row_ptr[static_cast<std::size_t>(src_row(i))];
+      const offset_t rb = a.row_ptr[static_cast<std::size_t>(src_row(i))];
       const index_t len = m.row_len[static_cast<std::size_t>(i)];
       for (index_t j = 0; j < len; ++j) {
         const std::size_t dst = static_cast<std::size_t>(
             base + static_cast<offset_t>(j) * slice_height + r);
-        m.val[dst] = p.val[static_cast<std::size_t>(rb + j)];
-        m.col_idx[dst] = p.col_idx[static_cast<std::size_t>(rb + j)];
+        m.val[dst] = a.val[static_cast<std::size_t>(rb + j)];
+        m.col_idx[dst] = a.col_idx[static_cast<std::size_t>(rb + j)];
       }
     }
   }
   return m;
-}
-
-template <class T>
-SlicedEll<T> SlicedEll<T>::ellpack(const Csr<T>& a, index_t chunk) {
-  return from_csr(a, ellpack_slice_height(a.n_rows, chunk));
-}
-
-template <class T>
-SlicedEll<T> SlicedEll<T>::pjds(const Csr<T>& a, index_t block_rows,
-                                PermuteColumns permute_columns) {
-  return from_csr(a, block_rows, std::max<index_t>(a.n_rows, 1),
-                  permute_columns);
 }
 
 template <class T>

@@ -9,18 +9,17 @@
 // The registry's formats are presets over this one layout (the SELL-C-σ
 // paper, arXiv:1307.6209):
 //
-//   preset        C                          σ      columns permuted
-//   ellpack       n_rows rounded up to chunk 1      no   (SELL-N-1)
-//   ellpack_r     same image as ellpack      1      no
-//   sliced_ell    chunk                      1      no   (SELL-C-1)
-//   sell_c_sigma  chunk                      σ      opt-in, square only
-//   pjds          chunk (= br)               N      opt-in, square only
+//   preset        C                          σ
+//   ellpack       n_rows rounded up to chunk 1      (SELL-N-1)
+//   ellpack_r     same image as ellpack      1
+//   sliced_ell    chunk                      1      (SELL-C-1)
+//   sell_c_sigma  chunk                      σ
+//   pjds          chunk (= br)               N
 //
-// Basis: a sorted image (σ > 1) whose columns keep their labels reads x
-// through the original col_idx[] and stores row r at y[old_of(r)]
-// (row_map()), as the paper's Listing 2 does, so its products are in the
-// original basis. PermuteColumns::yes relabels columns as well; the
-// kernels then read and write the permuted basis.
+// Basis: a sorted image (σ > 1) reads x through the original col_idx[]
+// and stores row r at y[old_of(r)] (row_map()), as the paper's Listing 2
+// does, so every product is in the original basis. A solver that wants
+// the sorted basis builds from permute_csr's P·A·Pᵀ instead.
 //
 // ELLPACK's rectangle is a single slice, so entry (i, j) sits at
 // j·padded_rows + i exactly as in Fig. 2a. pJDS is SELL-br-N: the full
@@ -59,35 +58,23 @@ struct SlicedEll {
   index_t padded_rows = 0;  // n_slices * slice_height
   offset_t nnz = 0;
   Permutation perm;  // row order (identity when σ == 1)
-  bool columns_permuted = false;  // built with PermuteColumns::yes?
 
   AlignedVector<offset_t> slice_ptr;  // n_slices + 1; element offsets
   AlignedVector<index_t> row_len;     // padded_rows
   AlignedVector<index_t> col_idx;     // slice_ptr.back(); fill is column 0
   AlignedVector<T> val;               // slice_ptr.back(); fill is zero
 
+  /// ELLPACK / ELLPACK-R (Sec. II-A, Fig. 2a/b) is SELL-N-1 with C =
+  /// ellpack_slice_height(n_rows, warp size); pJDS (Sec. II-A, Fig. 1)
+  /// is SELL-br-N, σ = n_rows.
   static SlicedEll from_csr(const Csr<T>& a, index_t slice_height = 32,
-                            index_t sort_window = 1,
-                            PermuteColumns permute_columns = PermuteColumns::no);
-
-  /// ELLPACK / ELLPACK-R (Sec. II-A, Fig. 2a/b) as SELL-N-1: one slice of
-  /// n_rows rounded up to a multiple of `chunk` (the warp size;
-  /// footnote 2 in the paper), original row order.
-  static SlicedEll ellpack(const Csr<T>& a, index_t chunk = 32);
-
-  /// pJDS (Sec. II-A, Fig. 1) as SELL-br-N: rows fully sorted by
-  /// descending length, padded in blocks of `block_rows` (br).
-  /// PermuteColumns::yes relabels columns too (symmetric permutation, for
-  /// solvers that iterate in the permuted basis; needs a square matrix).
-  static SlicedEll pjds(const Csr<T>& a, index_t block_rows = 32,
-                        PermuteColumns permute_columns = PermuteColumns::yes);
+                            index_t sort_window = 1);
 
   /// Where the kernels store image row r: y[row_map()[r]], the row's
-  /// original index. nullptr when rows keep their order (σ = 1) or
-  /// columns were relabelled; the kernels then store row r at y[r].
+  /// original index. nullptr when rows keep their order (σ = 1); the
+  /// kernels then store row r at y[r].
   const index_t* row_map() const {
-    return sort_window > 1 && !columns_permuted ? perm.new_to_old().data()
-                                                : nullptr;
+    return sort_window > 1 ? perm.new_to_old().data() : nullptr;
   }
 
   index_t slice_width(index_t s) const {

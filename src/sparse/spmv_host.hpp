@@ -3,10 +3,9 @@
 // These are the reference implementations: the GPU simulator executes the
 // same data structures, and every test cross-checks formats against the
 // CSR kernel. Basis convention for row-sorted formats: a sorted SELL-C-σ
-// image (pJDS included) whose columns keep their labels reads x and
-// writes y in the original basis (SlicedEll::row_map()). JDS, and any
-// image built with PermuteColumns::yes, produces the *permuted* result
-// y_perm; with PermuteColumns::yes x must be in the permuted basis too.
+// image (pJDS included) reads x and writes y in the original basis
+// (SlicedEll::row_map()). JDS reads x in the original basis and produces
+// y in sorted row order, y_perm.
 #pragma once
 
 #include <span>
@@ -33,9 +32,8 @@ template <class T>
 void spmv(const Jds<T>& a, std::span<const T> x, std::span<T> y);
 
 /// y = A·x on any SELL-C-σ preset (ELLPACK, ELLPACK-R, sliced-ELL,
-/// SELL-C-σ, pJDS; y_perm = A_perm·x_perm after PermuteColumns::yes),
-/// slice by slice in row tiles of at most
-/// 1024 rows. The inner loop runs chunk-column-major across a tile — the
+/// SELL-C-σ, pJDS), slice by slice in row tiles of at most 1024 rows.
+/// The inner loop runs chunk-column-major across a tile — the
 /// SELL-C-σ loop order for wide-SIMD CPUs — and every row walks its
 /// slice's full width: padding adds exact zeros for finite x. `format`
 /// is the registry name the call is recorded under (span kernel/<format>,

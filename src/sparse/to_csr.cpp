@@ -1,39 +1,19 @@
 #include "sparse/to_csr.hpp"
 
-#include "sparse/convert.hpp"
-#include "util/error.hpp"
-
 namespace spmvm {
 
-namespace {
-
-/// Invert a row permutation on a permuted-basis CSR matrix: row r of `p`
-/// becomes row perm.old_of(r), and columns are relabeled back when they
-/// were permuted too.
 template <class T>
-Csr<T> unpermute(const Csr<T>& p, const Permutation& perm,
-                 PermuteColumns columns) {
-  // permute_csr with the inverse permutation undoes the forward one.
-  const Permutation inverse =
-      Permutation::from_new_to_old(perm.old_to_new());
-  return permute_csr(p, inverse, columns);
-}
-
-}  // namespace
-
-template <class T>
-Csr<T> to_csr(const Jds<T>& m, PermuteColumns columns_were_permuted) {
+Csr<T> to_csr(const Jds<T>& m) {
   Coo<T> coo(m.n_rows, m.n_cols);
   coo.reserve(m.nnz);
   for (index_t j = 0; j < m.width; ++j) {
     const offset_t base = m.jd_ptr[static_cast<std::size_t>(j)];
     for (index_t i = 0; i < m.diag_len(j); ++i) {
       const std::size_t k = static_cast<std::size_t>(base + i);
-      coo.add(i, m.col_idx[k], m.val[k]);
+      coo.add(m.perm.old_of(i), m.col_idx[k], m.val[k]);
     }
   }
-  return unpermute(Csr<T>::from_coo(std::move(coo)), m.perm,
-                   columns_were_permuted);
+  return Csr<T>::from_coo(std::move(coo));
 }
 
 template <class T>
@@ -47,12 +27,10 @@ Csr<T> to_csr(const SlicedEll<T>& m) {
       const std::size_t k = static_cast<std::size_t>(
           m.slice_ptr[static_cast<std::size_t>(s)] +
           static_cast<offset_t>(j) * m.slice_height + r);
-      coo.add(i, m.col_idx[k], m.val[k]);
+      coo.add(m.perm.old_of(i), m.col_idx[k], m.val[k]);
     }
   }
-  return unpermute(Csr<T>::from_coo(std::move(coo)), m.perm,
-                   m.columns_permuted ? PermuteColumns::yes
-                                      : PermuteColumns::no);
+  return Csr<T>::from_coo(std::move(coo));
 }
 
 template <class T>
@@ -84,7 +62,7 @@ Csr<T> to_csr(const Bellpack<T>& m) {
 }
 
 #define SPMVM_INSTANTIATE_TO_CSR(T)                            \
-  template Csr<T> to_csr(const Jds<T>&, PermuteColumns);       \
+  template Csr<T> to_csr(const Jds<T>&);                       \
   template Csr<T> to_csr(const SlicedEll<T>&);                 \
   template Csr<T> to_csr(const Bellpack<T>&)
 

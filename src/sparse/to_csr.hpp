@@ -13,13 +13,13 @@
 
 namespace spmvm {
 
-/// Recover the original matrix, undoing the row (and, if applied,
-/// column) permutation.
+/// Recover the original matrix: each sorted row goes back to its
+/// original index.
 template <class T>
-Csr<T> to_csr(const Jds<T>& m, PermuteColumns columns_were_permuted);
+Csr<T> to_csr(const Jds<T>& m);
 
-/// Any SELL-C-σ preset: the padding is dropped and the permutation undone
-/// (columns too when the stored columns_permuted flag says so).
+/// Any SELL-C-σ preset: the padding is dropped and each row goes back to
+/// its original index.
 template <class T>
 Csr<T> to_csr(const SlicedEll<T>& m);
 
@@ -27,7 +27,7 @@ template <class T>
 Csr<T> to_csr(const Bellpack<T>& m);
 
 #define SPMVM_EXTERN_TO_CSR(T)                                        \
-  extern template Csr<T> to_csr(const Jds<T>&, PermuteColumns);       \
+  extern template Csr<T> to_csr(const Jds<T>&);                       \
   extern template Csr<T> to_csr(const SlicedEll<T>&);                 \
   extern template Csr<T> to_csr(const Bellpack<T>&)
 

@@ -64,7 +64,7 @@ std::vector<Named> sizing_matrices() {
 }
 
 std::vector<std::pair<std::string, PlanOptions>> sizing_options() {
-  std::vector<std::pair<std::string, PlanOptions>> o(5);
+  std::vector<std::pair<std::string, PlanOptions>> o(4);
   o[0].first = "default";
   o[1].first = "chunk 8";
   o[1].second.chunk = 8;
@@ -73,8 +73,6 @@ std::vector<std::pair<std::string, PlanOptions>> sizing_options() {
   o[3].first = "block 2x3";
   o[3].second.block_r = 2;
   o[3].second.block_c = 3;
-  o[4].first = "permute_columns no";
-  o[4].second.permute_columns = PermuteColumns::no;
   return o;
 }
 

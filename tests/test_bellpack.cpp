@@ -89,7 +89,7 @@ TEST(Bellpack, CatastrophicFillOnUnstructuredMatrix) {
 TEST(Bellpack, OneByOneTileEqualsEllpack) {
   const auto a = random_csr<double>(64, 64, 0, 8, 4);
   const auto b = Bellpack<double>::from_csr(a, 1, 1, 32);
-  const auto e = SlicedEll<double>::ellpack(a, 32);
+  const auto e = testing::ellpack_image(a, 32);
   EXPECT_EQ(b.stored_entries(), e.stored_entries());
   EXPECT_DOUBLE_EQ(b.fill_fraction(), e.fill_fraction());
 }

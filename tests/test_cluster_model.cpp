@@ -67,7 +67,7 @@ TEST(NodeTiming, PjdsKeepsListing2Basis) {
   // The model runs pJDS as the paper's kernel benchmark does (Listing 2):
   // rows permuted, RHS and col_idx[] in the original basis, chunk = warp
   // size. With the L2 scaled like the matrix, the RHS exceeds it, so the
-  // symmetric permutation (the PermuteColumns::yes opt-in) times
+  // symmetric permutation (the part permuted up front, P·A·Pᵀ) times
   // differently.
   const double scale = 64;
   const auto a = make_named("sAMG", scale).matrix;
@@ -96,9 +96,9 @@ TEST(NodeTiming, PjdsKeepsListing2Basis) {
 
   ASSERT_GT(static_cast<std::size_t>(d.local.n_cols) * sizeof(double),
             c.device.l2_bytes);
-  formats::PlanOptions symmetric = listing2;
-  symmetric.permute_columns = PermuteColumns::yes;
-  EXPECT_NE(t.t_local, seconds(d.local, symmetric));
+  EXPECT_NE(t.t_local,
+            seconds(spmvm::testing::sorted_symmetric(d.local, d.local.n_rows),
+                    listing2));
 }
 
 TEST(NodeTiming, RejectsFormatsWithoutSimKernel) {

@@ -17,11 +17,10 @@ namespace {
 
 TEST(PermuteCsr, RowOnlyReordersRows) {
   const auto a = testing::random_csr<double>(20, 30, 1, 5, 11);
-  const auto p = Permutation::from_new_to_old([] {
-    std::vector<index_t> v(20);
-    for (index_t i = 0; i < 20; ++i) v[static_cast<std::size_t>(i)] = 19 - i;
-    return v;
-  }());
+  // Ascending keys sort descending into the reversed order 19, ..., 0.
+  std::vector<index_t> keys(20);
+  for (index_t i = 0; i < 20; ++i) keys[static_cast<std::size_t>(i)] = i;
+  const auto p = Permutation::sort_descending(keys, 20);
   const auto b = permute_csr(a, p, PermuteColumns::no);
   b.validate();
   for (index_t r = 0; r < 20; ++r)
@@ -41,7 +40,9 @@ TEST(PermuteCsr, SymmetricPermutationPreservesProduct) {
 
   const auto x = testing::random_vector<double>(40, 17);
   std::vector<double> x_perm(40);
-  p.to_permuted<double>(x, x_perm);
+  for (index_t r = 0; r < 40; ++r)
+    x_perm[static_cast<std::size_t>(r)] =
+        x[static_cast<std::size_t>(p.old_of(r))];
 
   const auto y_ref = testing::reference_spmv(a, x);
   const auto y_perm = testing::reference_spmv(b, x_perm);
@@ -102,17 +103,14 @@ TEST(IsSymmetric, NonSquareIsNever) {
 
 // ---- registry-wide properties: CSR -> plan -> spMVM/to_csr ---------------
 
-/// Apply the plan in the *original* basis: carry x/y across the row
-/// permutation when the plan has one.
+/// Apply the plan in the original basis: scatter y back when the plan
+/// stores it in sorted row order (jds).
 std::vector<double> plan_apply(const formats::FormatPlan<double>& plan,
                                const Csr<double>& a,
                                const std::vector<double>& x) {
   const Permutation* perm = plan.permutation();
-  std::vector<double> xb = x;
   std::vector<double> yb(static_cast<std::size_t>(a.n_rows));
-  if (perm != nullptr && plan.columns_permuted())
-    perm->to_permuted<double>(x, xb);
-  plan.spmv(std::span<const double>(xb), std::span<double>(yb));
+  plan.spmv(std::span<const double>(x), std::span<double>(yb));
   if (perm == nullptr) return yb;
   std::vector<double> y(yb.size());
   perm->from_permuted<double>(yb, y);

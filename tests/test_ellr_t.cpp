@@ -12,7 +12,7 @@ const DeviceSpec kFermi = DeviceSpec::tesla_c2070();
 
 TEST(EllrT, TOneMatchesEllpackRScheduling) {
   const auto a = spmvm::testing::random_csr<double>(512, 512, 0, 24, 1);
-  const auto e = SlicedEll<double>::ellpack(a, 32);
+  const auto e = spmvm::testing::ellpack_image(a, 32);
   const auto er = simulate(kFermi, e, "ellpack_r");
   const auto t1 = simulate_ellr_t(kFermi, e, 1);
   EXPECT_EQ(t1.stats.warp_steps, er.stats.warp_steps);
@@ -21,7 +21,7 @@ TEST(EllrT, TOneMatchesEllpackRScheduling) {
 
 TEST(EllrT, UsefulWorkEqualsNnzForAllT) {
   const auto a = spmvm::testing::random_csr<double>(300, 300, 0, 30, 2);
-  const auto e = SlicedEll<double>::ellpack(a, 32);
+  const auto e = spmvm::testing::ellpack_image(a, 32);
   for (int t : {1, 2, 4, 8, 16, 32}) {
     const auto r = simulate_ellr_t(kFermi, e, t);
     EXPECT_EQ(r.stats.useful_lane_steps,
@@ -33,7 +33,7 @@ TEST(EllrT, UsefulWorkEqualsNnzForAllT) {
 TEST(EllrT, HigherTCutsWarpTailOnLongImbalancedRows) {
   // Long imbalanced rows: T > 1 shrinks the per-warp step count.
   const auto a = make_powerlaw<double>(4096, 40.0, 500, 3);
-  const auto e = SlicedEll<double>::ellpack(a, 32);
+  const auto e = spmvm::testing::ellpack_image(a, 32);
   const auto t1 = simulate_ellr_t(kFermi, e, 1);
   const auto t8 = simulate_ellr_t(kFermi, e, 8);
   EXPECT_LT(t8.stats.warp_steps, t1.stats.warp_steps);
@@ -42,7 +42,7 @@ TEST(EllrT, HigherTCutsWarpTailOnLongImbalancedRows) {
 TEST(EllrT, OversizedTWastesLanesOnShortRows) {
   // N_nzr ~ 7 with T = 32: at most 7 of 32 lanes ever active.
   const auto a = make_random_uniform<double>(20000, 7, 4);
-  const auto e = SlicedEll<double>::ellpack(a, 32);
+  const auto e = spmvm::testing::ellpack_image(a, 32);
   const auto t32 = simulate_ellr_t(kFermi, e, 32);
   EXPECT_LT(t32.stats.warp_efficiency(), 0.3);
   const auto t1 = simulate_ellr_t(kFermi, e, 1);
@@ -55,7 +55,7 @@ TEST(EllrT, BestTIsMatrixDependent) {
   const auto short_rows = make_random_uniform<double>(20000, 6, 5);
   const auto long_rows = make_random_uniform<double>(2000, 200, 6);
   auto best_t = [&](const Csr<double>& a) {
-    const auto e = SlicedEll<double>::ellpack(a, 32);
+    const auto e = spmvm::testing::ellpack_image(a, 32);
     int best = 1;
     double best_gfs = 0.0;
     for (int t : {1, 2, 4, 8, 16, 32}) {
@@ -72,7 +72,7 @@ TEST(EllrT, BestTIsMatrixDependent) {
 
 TEST(EllrT, RejectsNonDivisorT) {
   const auto a = spmvm::testing::random_csr<double>(64, 64, 1, 4, 7);
-  const auto e = SlicedEll<double>::ellpack(a, 32);
+  const auto e = spmvm::testing::ellpack_image(a, 32);
   EXPECT_THROW(simulate_ellr_t(kFermi, e, 3), Error);
   EXPECT_THROW(simulate_ellr_t(kFermi, e, 0), Error);
 }

@@ -1,8 +1,8 @@
 // Cross-backend contract of the execution engine: the host, gpusim, and
 // hybrid backends must produce bit-identical products for every
 // registered storage format (gpusim executes the same host-mirror
-// kernels; hybrid pins its parts to PermuteColumns::no so each row
-// accumulates its entries in the same order as the unsplit kernel), and
+// kernels; no plan relabels columns, so each of hybrid's parts
+// accumulates a row's entries in the same order as the unsplit kernel), and
 // the engine's staging/selection model must be deterministic.
 #include <gtest/gtest.h>
 
@@ -70,7 +70,6 @@ std::vector<double> product(exec::Engine<double>& eng, const char* backend,
                             const std::vector<double>& x,
                             exec::LaunchOptions launch = {}) {
   formats::PlanOptions opts;
-  opts.permute_columns = PermuteColumns::no;
   opts.probe = false;
   const auto bound = eng.bind(backend, a, format, opts, launch);
   std::vector<double> y(static_cast<std::size_t>(a.n_rows), -1.0);
@@ -130,9 +129,7 @@ TEST(ExecBackends, HybridDeviceShareSweep) {
     SCOPED_TRACE(share);
     exec::LaunchOptions launch;
     launch.device_share = share;
-    formats::PlanOptions opts;
-    opts.permute_columns = PermuteColumns::no;
-    const auto bound = eng.bind("hybrid", a, "sell_c_sigma", opts, launch);
+    const auto bound = eng.bind("hybrid", a, "sell_c_sigma", {}, launch);
     if (share == 0.0) {
       EXPECT_EQ(bound->split_row(), 0);
       EXPECT_EQ(bound->device_nnz_share(), 0.0);

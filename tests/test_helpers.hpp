@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
 
+#include "sparse/convert.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/sliced_ell.hpp"
 #include "util/rng.hpp"
 
 namespace spmvm::testing {
@@ -41,6 +44,33 @@ Csr<T> random_csr(index_t n_rows, index_t n_cols, index_t min_row_len,
     }
   }
   return Csr<T>::from_coo(std::move(coo));
+}
+
+/// The `ellpack` preset's image: one slice of n_rows rounded up to a
+/// multiple of `chunk` (SELL-N-1).
+template <class T>
+SlicedEll<T> ellpack_image(const Csr<T>& a, index_t chunk = 32) {
+  return SlicedEll<T>::from_csr(a, ellpack_slice_height(a.n_rows, chunk));
+}
+
+/// The `pjds` preset's image: rows fully sorted, padded in blocks of
+/// `block_rows` (SELL-br-N).
+template <class T>
+SlicedEll<T> pjds_image(const Csr<T>& a, index_t block_rows = 32) {
+  return SlicedEll<T>::from_csr(a, block_rows,
+                                std::max<index_t>(a.n_rows, 1));
+}
+
+/// P·A·Pᵀ with P the descending row-length sort within windows of
+/// `window` rows: the matrix a solver iterating in the sorted basis
+/// builds its formats from.
+template <class T>
+Csr<T> sorted_symmetric(const Csr<T>& a, index_t window) {
+  std::vector<index_t> lens(static_cast<std::size_t>(a.n_rows));
+  for (index_t i = 0; i < a.n_rows; ++i)
+    lens[static_cast<std::size_t>(i)] = a.row_len(i);
+  return permute_csr(a, Permutation::sort_descending(lens, window),
+                     PermuteColumns::yes);
 }
 
 /// Random dense vector in [-1, 1).

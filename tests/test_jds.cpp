@@ -25,22 +25,10 @@ TEST(Jds, NoStorageOverhead) {
 
 TEST(Jds, SpmvMatchesReferenceRowPermutationOnly) {
   const auto a = testing::random_csr<double>(60, 60, 0, 10, 9);
-  const auto j = Jds<double>::from_csr(a, PermuteColumns::no);
+  const auto j = Jds<double>::from_csr(a);
   const auto x = testing::random_vector<double>(60, 10);
   std::vector<double> y_perm(60), y(60);
   spmv(j, std::span<const double>(x), std::span<double>(y_perm));
-  j.perm.from_permuted<double>(y_perm, y);
-  testing::expect_vectors_near<double>(testing::reference_spmv(a, x), y,
-                                       1e-12);
-}
-
-TEST(Jds, SpmvMatchesReferenceSymmetricPermutation) {
-  const auto a = testing::random_csr<double>(60, 60, 0, 10, 11);
-  const auto j = Jds<double>::from_csr(a, PermuteColumns::yes);
-  const auto x = testing::random_vector<double>(60, 12);
-  std::vector<double> x_perm(60), y_perm(60), y(60);
-  j.perm.to_permuted<double>(x, x_perm);
-  spmv(j, std::span<const double>(x_perm), std::span<double>(y_perm));
   j.perm.from_permuted<double>(y_perm, y);
   testing::expect_vectors_near<double>(testing::reference_spmv(a, x), y,
                                        1e-12);

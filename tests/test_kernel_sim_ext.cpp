@@ -21,7 +21,7 @@ TEST(CsrVector, WastefulOnShortRows) {
   // One warp per 4-entry row: 28 idle lanes plus the reduction steps.
   const auto a = spmvm::testing::random_csr<double>(20000, 20000, 4, 4, 2);
   const auto vec = simulate_csr_vector(kFermi, a);
-  const auto er = simulate(kFermi, SlicedEll<double>::ellpack(a, 32),
+  const auto er = simulate(kFermi, spmvm::testing::ellpack_image(a, 32),
                            "ellpack_r");
   EXPECT_LT(vec.gflops, er.gflops);
   EXPECT_LT(vec.stats.warp_efficiency(), 0.25);
@@ -36,7 +36,7 @@ TEST(CsrVector, UsefulWorkEqualsNnz) {
 TEST(CsrVector, CompetitiveWithEllpackROnUniformLongRows) {
   const auto a = make_random_uniform<double>(4096, 128, 4);
   const auto vec = simulate_csr_vector(kFermi, a);
-  const auto er = simulate(kFermi, SlicedEll<double>::ellpack(a, 32),
+  const auto er = simulate(kFermi, spmvm::testing::ellpack_image(a, 32),
                            "ellpack_r");
   EXPECT_GT(vec.gflops, 0.5 * er.gflops);
 }

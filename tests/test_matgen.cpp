@@ -9,6 +9,7 @@
 #include "matgen/suite.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/matrix_stats.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace spmvm {
@@ -21,8 +22,8 @@ GenConfig cfg(double scale) {
 }
 
 double reduction(const Csr<double>& a) {
-  return data_reduction_percent(SlicedEll<double>::pjds(a),
-                                SlicedEll<double>::ellpack(a, 32));
+  return data_reduction_percent(testing::pjds_image(a),
+                                testing::ellpack_image(a, 32));
 }
 
 TEST(Hmep, Fingerprint) {

@@ -9,6 +9,7 @@
 #include "matgen/suite.hpp"
 #include "sim_helpers.hpp"
 #include "sparse/footprint.hpp"
+#include "test_helpers.hpp"
 
 namespace spmvm {
 namespace {
@@ -18,8 +19,8 @@ using gpusim::SimOptions;
 using spmvm::testing::simulate_named;
 
 double reduction(const Csr<double>& a) {
-  return data_reduction_percent(SlicedEll<double>::pjds(a),
-                                SlicedEll<double>::ellpack(a, 32));
+  return data_reduction_percent(testing::pjds_image(a),
+                                testing::ellpack_image(a, 32));
 }
 
 /// Simulated GF/s with the L2 scaled like the matrix (see DESIGN.md).
@@ -93,7 +94,7 @@ TEST(PaperShapes, PjdsOverheadVsMinimumIsTiny) {
   // test matrices; require well under 1 % for the stand-ins.
   for (const char* name : {"DLR1", "DLR2", "HMEp", "sAMG"}) {
     const auto a = make_named(name, 128).matrix;
-    const auto p = SlicedEll<double>::pjds(a);
+    const auto p = testing::pjds_image(a);
     EXPECT_LT(footprint(p).overhead_vs_minimum(), 0.01) << name;
   }
 }

@@ -404,15 +404,15 @@ TEST(Serve, BatchedBitIdenticalToIndividualOnEveryBackend) {
 }
 
 TEST(Serve, PermutedFormatsBitIdenticalToOriginalBasisApply) {
-  // The server binds in the plan's basis and carries x and y across the
-  // row permutation in its own staging. Every response must equal the
-  // original-basis product of a fresh binding, bit for bit: square
-  // matrices (rows and columns permuted) and rectangular ones (rows
-  // only), with 600 rows so sell_c_sigma sorts in more than one
-  // σ-window. `auto` probes by timing and may choose differently in two
-  // bindings, and the formats that relabel columns add a row's entries
-  // in another order; with at most two entries a row every order gives
-  // the same bits, so `auto` is checked on such matrices.
+  // The server binds in the original basis: the sorted SELL presets
+  // write y through their row map, and the backend scatters jds's sorted
+  // y back. Every response must equal the original-basis product of a
+  // fresh binding, bit for bit: square and rectangular matrices, with
+  // 600 rows so sell_c_sigma sorts in more than one σ-window. `auto`
+  // probes by timing and may choose differently in two bindings, whose
+  // formats may add a row's entries in another order; with at most two
+  // entries a row every order gives the same bits, so `auto` is checked
+  // on such matrices.
   for (const std::string format : {"sell_c_sigma", "pjds", "jds", "auto"}) {
     const index_t max_len = format == "auto" ? 2 : 7;
     for (const auto& [rows, cols] :

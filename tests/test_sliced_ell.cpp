@@ -22,13 +22,14 @@ TEST(SlicedEll, SliceGeometry) {
   s.validate();
   EXPECT_EQ(s.n_slices, 3);
   EXPECT_EQ(s.padded_rows, 96);
-  EXPECT_TRUE(s.perm.is_identity());  // σ = 1
+  EXPECT_EQ(s.perm.new_to_old(),  // σ = 1
+            Permutation::identity(a.n_rows).new_to_old());
   EXPECT_EQ(s.row_map(), nullptr);
 }
 
 TEST(SlicedEll, StoresLessThanEllpack) {
   const auto a = testing::random_csr<double>(256, 256, 1, 32, 2);
-  const auto e = SlicedEll<double>::ellpack(a, 32);
+  const auto e = testing::ellpack_image(a, 32);
   const auto s = SlicedEll<double>::from_csr(a, 32);
   EXPECT_LE(s.stored_entries(), e.stored_entries());
 }
@@ -36,8 +37,7 @@ TEST(SlicedEll, StoresLessThanEllpack) {
 TEST(SlicedEll, FullSortMinimizesFill) {
   const auto a = testing::random_csr<double>(256, 256, 1, 32, 3);
   const auto unsorted = SlicedEll<double>::from_csr(a, 32, 1);
-  const auto sorted =
-      SlicedEll<double>::from_csr(a, 32, a.n_rows, PermuteColumns::no);
+  const auto sorted = SlicedEll<double>::from_csr(a, 32, a.n_rows);
   EXPECT_LE(sorted.stored_entries(), unsorted.stored_entries());
 }
 
@@ -56,8 +56,7 @@ TEST(SlicedEll, SpmvMatchesReferenceSortedWindows) {
   // the original basis, storing image row r at y[old_of(r)].
   for (index_t sigma : {4, 32, 100}) {
     const auto a = testing::random_csr<double>(100, 100, 0, 12, 6);
-    const auto s =
-        SlicedEll<double>::from_csr(a, 16, sigma, PermuteColumns::no);
+    const auto s = SlicedEll<double>::from_csr(a, 16, sigma);
     ASSERT_EQ(s.row_map(), s.perm.new_to_old().data());
     const auto x = testing::random_vector<double>(100, 7);
     std::vector<double> y(100);
@@ -66,19 +65,6 @@ TEST(SlicedEll, SpmvMatchesReferenceSortedWindows) {
     testing::expect_vectors_near<double>(testing::reference_spmv(a, x), y,
                                          1e-12);
   }
-}
-
-TEST(SlicedEll, SpmvSymmetricPermutation) {
-  const auto a = testing::random_csr<double>(90, 90, 1, 9, 8);
-  const auto s = SlicedEll<double>::from_csr(a, 8, 90, PermuteColumns::yes);
-  EXPECT_EQ(s.row_map(), nullptr);  // the kernels work in the permuted basis
-  const auto x = testing::random_vector<double>(90, 9);
-  std::vector<double> x_perm(90), y_perm(90), y(90);
-  s.perm.to_permuted<double>(x, x_perm);
-  spmv(s, std::span<const double>(x_perm), std::span<double>(y_perm));
-  s.perm.from_permuted<double>(y_perm, y);
-  testing::expect_vectors_near<double>(testing::reference_spmv(a, x), y,
-                                       1e-12);
 }
 
 /// Matrices of the in-place build checks: random, degenerate, and the
@@ -107,9 +93,9 @@ std::vector<std::pair<std::string, Csr<double>>> build_matrices() {
 }
 
 TEST(SlicedEll, SortedBuildReadsCsrInPlaceLikeTheCopy) {
-  // Without a column relabel a sorted build gathers each row straight
-  // from the CSR. Its image must equal the one laid out from
-  // permute_csr's row-permuted copy, array by array.
+  // A sorted build gathers each row straight from the CSR. Its image
+  // must equal the one laid out from permute_csr's row-permuted copy,
+  // array by array.
   for (const auto& [name, a] : build_matrices()) {
     const std::pair<index_t, index_t> shapes[] = {
         {8, 3}, {32, 256}, {32, std::max<index_t>(a.n_rows, 1)}};
@@ -134,12 +120,13 @@ TEST(SlicedEll, SortedBuildReadsCsrInPlaceLikeTheCopy) {
 TEST(SlicedEll, JdsBuildReadsCsrInPlaceLikeTheCopy) {
   for (const auto& [name, a] : build_matrices()) {
     SCOPED_TRACE(name);
-    const auto j = Jds<double>::from_csr(a, PermuteColumns::no);
+    const auto j = Jds<double>::from_csr(a);
     // The copy's rows are already sorted: its stable sort keeps them.
-    const auto copy = Jds<double>::from_csr(
-        permute_csr(a, j.perm, PermuteColumns::no), PermuteColumns::no);
+    const auto copy =
+        Jds<double>::from_csr(permute_csr(a, j.perm, PermuteColumns::no));
     j.validate();
-    ASSERT_TRUE(copy.perm.is_identity());
+    ASSERT_EQ(copy.perm.new_to_old(),
+              Permutation::identity(a.n_rows).new_to_old());
     EXPECT_EQ(j.width, copy.width);
     EXPECT_EQ(j.nnz, copy.nnz);
     EXPECT_EQ(j.jd_ptr, copy.jd_ptr);

@@ -81,22 +81,24 @@ TEST(Cg, PjdsVariantMatchesCsrSolution) {
   const auto a = std::make_shared<const Csr<double>>(csr);
   const auto rc = cg(make_operator<double>(a), std::span<const double>(b),
                      std::span<double>(x_csr), 1e-12, 2000);
-  const auto rp = cg_with_format(csr, std::span<const double>(b),
-                                 std::span<double>(x_pjds), "pjds", 1e-12,
-                                 2000);
+  const auto rp =
+      cg(make_operator<double>(formats::registry<double>(), "pjds", csr),
+         std::span<const double>(b), std::span<double>(x_pjds), 1e-12, 2000);
   EXPECT_TRUE(rc.converged);
   EXPECT_TRUE(rp.converged);
   spmvm::testing::expect_vectors_near<double>(x_csr, x_pjds, 1e-7);
 }
 
 TEST(Cg, PjdsUsesNontrivialPermutation) {
-  // Ensure the pJDS path actually permutes (matrix with varying row
-  // lengths) and still solves correctly.
+  // Ensure the pJDS path actually sorts rows (matrix with varying row
+  // lengths), stores them back through its row map, and still solves
+  // correctly.
   const auto banded = make_banded<double>(300, 6);
   const auto b = random_vector<double>(300, 4);
   std::vector<double> x(300, 0.0);
-  const auto r = cg_with_format(banded, std::span<const double>(b),
-                                std::span<double>(x), "pjds", 1e-10, 3000);
+  const auto r =
+      cg(make_operator<double>(formats::registry<double>(), "pjds", banded),
+         std::span<const double>(b), std::span<double>(x), 1e-10, 3000);
   EXPECT_TRUE(r.converged);
   std::vector<double> ax(300);
   spmv(banded, std::span<const double>(x), std::span<double>(ax));
@@ -181,12 +183,14 @@ TEST(Lanczos, PermutedPjdsBasisGivesSameEigenvalue) {
   const auto sym = std::make_shared<const Csr<double>>(
       Csr<double>::from_coo(std::move(coo)));
 
-  formats::PlanOptions opt;
-  opt.permute_columns = PermuteColumns::yes;
+  // Permuted once up front (P·A·Pᵀ), as a solver iterating in the pJDS
+  // basis does; the eigenvalues do not change.
   const auto r_csr =
       lanczos_max_eigenvalue(make_operator<double>(sym), 300, 1e-10);
   const auto r_pjds = lanczos_max_eigenvalue(
-      make_operator<double>(formats::registry<double>(), "pjds", *sym, opt),
+      make_operator<double>(
+          formats::registry<double>(), "pjds",
+          spmvm::testing::sorted_symmetric(*sym, sym->n_rows)),
       300, 1e-10);
   EXPECT_TRUE(r_csr.converged);
   EXPECT_TRUE(r_pjds.converged);
@@ -204,20 +208,18 @@ TEST(Operator, RejectsShortVectors) {
 }
 
 TEST(Operator, RowSortedPlanRequiresPermutedColumns) {
-  // A plan that sorts rows without relabeling the columns iterates in a
-  // mixed basis; the operator factory must reject it. jds is the one
-  // such plan: the sorted SELL-C-σ presets write y through their row
-  // map, have no basis of their own, and apply in the original basis.
+  // A plan that stores y in sorted row order reads x in another basis
+  // than it writes y; the operator factory must reject it. jds is the
+  // one such plan: the sorted SELL-C-σ presets write y through their row
+  // map and apply in the original basis.
   const auto a = make_poisson2d<double>(4, 4);
-  formats::PlanOptions opt;
-  opt.permute_columns = PermuteColumns::no;
   const std::shared_ptr<const formats::FormatPlan<double>> jds =
-      formats::registry<double>().build("jds", a, opt);
+      formats::registry<double>().build("jds", a);
   ASSERT_NE(jds->permutation(), nullptr);
   EXPECT_THROW(make_operator<double>(jds), Error);
 
   const std::shared_ptr<const formats::FormatPlan<double>> pjds =
-      formats::registry<double>().build("pjds", a, opt);
+      formats::registry<double>().build("pjds", a);
   ASSERT_EQ(pjds->permutation(), nullptr);
   const auto op = make_operator<double>(pjds);
   const auto x = spmvm::testing::random_vector<double>(a.n_cols, 3);

@@ -55,7 +55,7 @@ TEST_P(SpmmvSweep, PjdsBlockMatchesCsrBlock) {
   const auto& [k, threads] = GetParam();
   const index_t n = 96;
   const auto a = random_csr<double>(n, n, 1, 8, 3);
-  const auto p = SlicedEll<double>::pjds(a, 32, PermuteColumns::no);
+  const auto p = testing::pjds_image(a, 32);
   ASSERT_NE(p.row_map(), nullptr);
 
   const auto xblk = random_vector<double>(n * k, 4);
@@ -102,11 +102,13 @@ class SpmmvSellSweep
 TEST_P(SpmmvSellSweep, BlockEqualsSingleProductsBitForBit) {
   const auto& [sorted, threads] = GetParam();
   const auto a = ragged_csr();
-  // sliced_ell: σ = 1, original order; sell_c_sigma: σ = 16 with the
-  // columns relabeled by the row permutation.
-  const auto s = SlicedEll<double>::from_csr(
-      a, 8, sorted ? 16 : 1, sorted ? PermuteColumns::yes : PermuteColumns::no);
-  ASSERT_EQ(s.columns_permuted, sorted);
+  // sliced_ell: σ = 1, original order; sell_c_sigma: σ = 16 on the
+  // matrix permuted up front (rows and columns) by its σ = 16 sort.
+  const auto s =
+      sorted ? SlicedEll<double>::from_csr(
+                   testing::sorted_symmetric(a, 16), 8, 16)
+             : SlicedEll<double>::from_csr(a, 8, 1);
+  ASSERT_EQ(s.row_map() != nullptr, sorted);
   const auto n = static_cast<std::size_t>(a.n_rows);
   // k = 2..8 run one fixed-width group each, k = 9 a group of 8 plus
   // one of 1, k = 1 the single-vector kernel.
@@ -198,7 +200,6 @@ std::vector<double> block_product(exec::Engine<double>& eng,
                                   const char* format,
                                   const std::vector<double>& xblk, int k) {
   formats::PlanOptions opts;
-  opts.permute_columns = PermuteColumns::no;
   opts.probe = false;
   const auto bound = eng.bind(backend, a, format, opts, {});
   std::vector<double> y(static_cast<std::size_t>(a.n_rows) *
@@ -281,8 +282,8 @@ TEST(Spmmv, RejectsNonPositiveKForEveryFormat) {
   // The k-interleaved stride contract (x[i*k + v]) must be asserted
   // before any indexing: k <= 0 throws instead of aliasing rows.
   const auto a = random_csr<double>(12, 12, 1, 3, 8);
-  const auto p = SlicedEll<double>::pjds(a);
-  const auto s = SlicedEll<double>::from_csr(a, 4, 8, PermuteColumns::yes);
+  const auto p = testing::pjds_image(a);
+  const auto s = SlicedEll<double>::from_csr(a, 4, 8);
   std::vector<double> x(24), y(24);
   for (int k : {0, -1, -7}) {
     EXPECT_THROW(

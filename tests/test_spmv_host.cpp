@@ -40,16 +40,16 @@ TEST_P(SpmvAllFormats, EveryFormatMatchesReference) {
   }
   {
     // ELLPACK and ELLPACK-R share this image and host kernel.
-    const auto e = SlicedEll<double>::ellpack(a, 32);
+    const auto e = testing::ellpack_image(a, 32);
     std::vector<double> y(n);
     spmv(e, std::span<const double>(x), std::span<double>(y), threads);
     testing::expect_vectors_near<double>(ref, y, 1e-12);
   }
-  if (shape.n_rows == shape.n_cols) {
-    const auto j = Jds<double>::from_csr(a, PermuteColumns::yes);
-    std::vector<double> x_perm(n), y_perm(n), y(n);
-    j.perm.to_permuted<double>(x, x_perm);
-    spmv(j, std::span<const double>(x_perm), std::span<double>(y_perm));
+  {
+    // JDS stores y in sorted row order.
+    const auto j = Jds<double>::from_csr(a);
+    std::vector<double> y_perm(n), y(n);
+    spmv(j, std::span<const double>(x), std::span<double>(y_perm));
     j.perm.from_permuted<double>(y_perm, y);
     testing::expect_vectors_near<double>(ref, y, 1e-12);
   }
@@ -122,9 +122,7 @@ TEST(SpmvSlicedEll, AxpbyComposesCorrectly) {
 
 TEST(SpmvSlicedEll, AxpbyMatchesTwoPassOnSortedFormat) {
   const auto a = testing::random_csr<double>(90, 90, 0, 14, 24);
-  const auto s =
-      SlicedEll<double>::from_csr(a, 8, /*sort_window=*/90,
-                                  PermuteColumns::yes);
+  const auto s = SlicedEll<double>::from_csr(a, 8, /*sort_window=*/90);
   const auto x = testing::random_vector<double>(90, 25);
   std::vector<double> ax(90);
   spmv(s, std::span<const double>(x), std::span<double>(ax));
@@ -139,7 +137,7 @@ TEST(SpmvFloat, SinglePrecisionWithinTolerance) {
   const auto a = testing::random_csr<float>(80, 80, 1, 10, 15);
   const auto x = testing::random_vector<float>(80, 16);
   const auto ref = testing::reference_spmv(a, x);
-  const auto e = SlicedEll<float>::ellpack(a, 32);
+  const auto e = testing::ellpack_image(a, 32);
   std::vector<float> y(80);
   spmv(e, std::span<const float>(x), std::span<float>(y));
   testing::expect_vectors_near<float>(ref, y, 1e-5);

@@ -46,13 +46,13 @@ std::size_t pos(const SlicedEll<T>& m, index_t i, index_t j) {
 
 TEST(SpmvPresetsStorage, EllpackPadsRowsToChunk) {
   const auto a = random_csr<double>(33, 33, 1, 4, 1);
-  const auto e = SlicedEll<double>::ellpack(a, 32);
+  const auto e = testing::ellpack_image(a, 32);
   e.validate();
   EXPECT_EQ(e.n_slices, 1);
   EXPECT_EQ(e.padded_rows, 64);
   EXPECT_EQ(e.slice_width(0), a.max_row_len());
   EXPECT_EQ(e.nnz, a.nnz());
-  EXPECT_EQ(SlicedEll<double>::ellpack(random_csr<double>(64, 64, 1, 4, 2), 32)
+  EXPECT_EQ(testing::ellpack_image(random_csr<double>(64, 64, 1, 4, 2), 32)
                 .padded_rows,
             64);
 }
@@ -60,7 +60,7 @@ TEST(SpmvPresetsStorage, EllpackPadsRowsToChunk) {
 TEST(SpmvPresetsStorage, EllpackIsTheColumnMajorRectangle) {
   // Fig. 2a: entry (i, j) at j·padded_rows + i, fill zero at column 0.
   const auto a = random_csr<double>(20, 20, 0, 6, 3);
-  const auto e = SlicedEll<double>::ellpack(a, 4);
+  const auto e = testing::ellpack_image(a, 4);
   e.validate();
   const auto rows = at(e.padded_rows);
   for (index_t i = 0; i < e.padded_rows; ++i)
@@ -80,7 +80,7 @@ TEST(SpmvPresetsStorage, EllpackIsTheColumnMajorRectangle) {
 TEST(SpmvPresetsStorage, EllpackFill) {
   // Constant row length: no fill beyond the phantom rows.
   EXPECT_DOUBLE_EQ(
-      SlicedEll<double>::ellpack(random_csr<double>(32, 32, 5, 5, 5), 32)
+      testing::ellpack_image(random_csr<double>(32, 32, 5, 5, 5), 32)
           .fill_fraction(),
       0.0);
   // One full row plus single-entry rows: ELLPACK stores N·N.
@@ -88,13 +88,13 @@ TEST(SpmvPresetsStorage, EllpackFill) {
   for (index_t j = 0; j < 32; ++j) coo.add(0, j, 1.0);
   for (index_t i = 1; i < 32; ++i) coo.add(i, 0, 1.0);
   const auto e =
-      SlicedEll<double>::ellpack(Csr<double>::from_coo(std::move(coo)), 32);
+      testing::ellpack_image(Csr<double>::from_coo(std::move(coo)), 32);
   EXPECT_EQ(e.stored_entries(), 32 * 32);
   EXPECT_GT(e.fill_fraction(), 0.9);
   // rowmax[] == N^max_nzr everywhere: pJDS stores the same N · width.
   const auto c = random_csr<double>(96, 96, 6, 6, 21);
-  EXPECT_EQ(SlicedEll<double>::pjds(c, 32).stored_entries(),
-            SlicedEll<double>::ellpack(c, 32).stored_entries());
+  EXPECT_EQ(testing::pjds_image(c, 32).stored_entries(),
+            testing::ellpack_image(c, 32).stored_entries());
 }
 
 TEST(SpmvPresetsStorage, PjdsPaperToyExample) {
@@ -104,8 +104,7 @@ TEST(SpmvPresetsStorage, PjdsPaperToyExample) {
   const index_t lens[] = {1, 3, 2, 5, 1, 4, 2, 1};
   for (index_t i = 0; i < 8; ++i)
     for (index_t j = 0; j < lens[i]; ++j) coo.add(i, j, 1.0 + i);
-  const auto p = SlicedEll<double>::pjds(Csr<double>::from_coo(std::move(coo)),
-                                         4, PermuteColumns::no);
+  const auto p = testing::pjds_image(Csr<double>::from_coo(std::move(coo)), 4);
   p.validate();
   // Sorted lengths 5 4 3 2 | 2 1 1 1 -> block widths 5 and 2.
   EXPECT_EQ(p.slice_width(0), 5);
@@ -123,20 +122,20 @@ TEST(SpmvPresetsStorage, PjdsWorstCaseBoundFromPaper) {
   for (index_t j = 0; j < n; ++j) coo.add(0, j, 1.0);
   for (index_t i = 1; i < n; ++i) coo.add(i, 0, 1.0);
   const auto a = Csr<double>::from_coo(std::move(coo));
-  EXPECT_EQ(SlicedEll<double>::ellpack(a, br).stored_entries(),
+  EXPECT_EQ(testing::ellpack_image(a, br).stored_entries(),
             static_cast<offset_t>(n) * n);
-  EXPECT_LE(SlicedEll<double>::pjds(a, br).stored_entries(),
+  EXPECT_LE(testing::pjds_image(a, br).stored_entries(),
             static_cast<offset_t>(br + 1) * n - br);
 }
 
 TEST(SpmvPresetsStorage, PjdsBlockRowsOneHasNoFillAndLargerNeverStoresLess) {
   const auto a = random_csr<double>(300, 300, 0, 20, 26);
-  const auto p1 = SlicedEll<double>::pjds(a, 1);
+  const auto p1 = testing::pjds_image(a, 1);
   EXPECT_EQ(p1.stored_entries(), a.nnz());
   EXPECT_DOUBLE_EQ(p1.fill_fraction(), 0.0);
   offset_t prev = 0;
   for (index_t br : {1, 4, 16, 32, 64}) {
-    const auto p = SlicedEll<double>::pjds(a, br);
+    const auto p = testing::pjds_image(a, br);
     p.validate();
     EXPECT_GE(p.stored_entries(), prev) << "br=" << br;
     prev = p.stored_entries();
@@ -148,7 +147,7 @@ TEST(SpmvPresetsStorage, PjdsBlockRowsOneHasNoFillAndLargerNeverStoresLess) {
 TEST(SpmvPresetsStorage, PhantomRowsAreEmpty) {
   const auto a = random_csr<double>(37, 37, 1, 6, 29);
   for (const auto& m :
-       {SlicedEll<double>::ellpack(a, 16), SlicedEll<double>::pjds(a, 16)}) {
+       {testing::ellpack_image(a, 16), testing::pjds_image(a, 16)}) {
     EXPECT_EQ(m.padded_rows, 48);
     for (index_t i = 37; i < 48; ++i) {
       EXPECT_EQ(m.row_len[at(i)], 0);
@@ -159,27 +158,28 @@ TEST(SpmvPresetsStorage, PhantomRowsAreEmpty) {
 }
 
 TEST(SpmvPresetsStorage, PermutationFlagRecorded) {
+  // The image records its row order: the identity when rows keep their
+  // order, else the sort whose row map the kernels store y through.
   const auto a = random_csr<double>(40, 40, 1, 5, 27);
-  EXPECT_FALSE(SlicedEll<double>::ellpack(a, 8).columns_permuted);
-  EXPECT_TRUE(SlicedEll<double>::ellpack(a, 8).perm.is_identity());
-  EXPECT_FALSE(
-      SlicedEll<double>::pjds(a, 8, PermuteColumns::no).columns_permuted);
-  EXPECT_TRUE(
-      SlicedEll<double>::pjds(a, 8, PermuteColumns::yes).columns_permuted);
+  const auto e = testing::ellpack_image(a, 8);
+  EXPECT_EQ(e.perm.new_to_old(), Permutation::identity(40).new_to_old());
+  EXPECT_EQ(e.row_map(), nullptr);
+  const auto p = testing::pjds_image(a, 8);
+  EXPECT_EQ(p.row_map(), p.perm.new_to_old().data());
 }
 
 TEST(SpmvPresetsStorage, RejectsNonPositiveChunk) {
   const auto a = random_csr<double>(10, 10, 1, 2, 28);
   for (index_t br : {0, -1}) {
-    EXPECT_THROW(SlicedEll<double>::ellpack(a, br), Error);
-    EXPECT_THROW(SlicedEll<double>::pjds(a, br), Error);
+    EXPECT_THROW(testing::ellpack_image(a, br), Error);
+    EXPECT_THROW(testing::pjds_image(a, br), Error);
   }
 }
 
 TEST(SpmvPresetsStorage, EmptyMatrix) {
   const auto a = Csr<double>::from_coo(Coo<double>(0, 0));
   for (const auto& m :
-       {SlicedEll<double>::ellpack(a, 32), SlicedEll<double>::pjds(a, 32)}) {
+       {testing::ellpack_image(a, 32), testing::pjds_image(a, 32)}) {
     m.validate();
     EXPECT_EQ(m.stored_entries(), 0);
     EXPECT_EQ(m.padded_rows, 0);
@@ -270,7 +270,6 @@ TEST_P(SpmvPresetsKernels, BitIdenticalToRowOrderReference) {
   EXPECT_EQ(plan->permutation(), nullptr);
   const auto& m =
       dynamic_cast<const formats::SlicedEllPlan<double>&>(*plan).format();
-  EXPECT_FALSE(m.columns_permuted);
   // csr_row_dot sums a row of 32 or more entries in four partial sums.
   const auto csr = formats::registry<double>().build("csr", a);
   const auto short_row = [&a](std::size_t i) {
@@ -318,20 +317,13 @@ TEST_P(SpmvPresetsKernels, BitIdenticalToRowOrderReference) {
 }
 
 TEST(SpmvPresetsBasis, OnlyJdsAndRelabelledPlansReportAPermutation) {
+  // Every SELL preset writes y through its row map; only jds stores y
+  // in sorted row order.
   const auto a = random_csr<double>(150, 150, 0, 14, 41);
   const auto& reg = formats::registry<double>();
-  formats::PlanOptions relabel;
-  relabel.permute_columns = PermuteColumns::yes;
   for (const char* name : kPresets)
     EXPECT_EQ(reg.build(name, a)->permutation(), nullptr) << name;
-  for (const char* name : {"sell_c_sigma", "pjds"}) {
-    const auto plan = reg.build(name, a, relabel);
-    ASSERT_NE(plan->permutation(), nullptr) << name;
-    EXPECT_TRUE(plan->columns_permuted()) << name;
-  }
   EXPECT_NE(reg.build("jds", a)->permutation(), nullptr);
-  EXPECT_FALSE(reg.build("jds", a)->columns_permuted());
-  EXPECT_NE(reg.build("jds", a, relabel)->permutation(), nullptr);
 }
 
 std::string kernel_case_name(
@@ -365,7 +357,7 @@ TEST(SpmvPresetsShapes, RejectsShortVectors) {
 }
 
 TEST(SpmvPresetsStorage, EllpackImageSpansSeveralTiles) {
-  const auto m = SlicedEll<double>::ellpack(kernel_matrix(5), 32);
+  const auto m = testing::ellpack_image(kernel_matrix(5), 32);
   EXPECT_EQ(m.n_slices, 1);
   EXPECT_GT(m.slice_height, 2 * 1024);
 }
@@ -374,9 +366,9 @@ TEST(SpmvPresetsStorage, EllpackImageSpansSeveralTiles) {
 
 TEST(SpmvPresetsSim, EllpackEllpackRAndPjdsKeepTheirNumbers) {
   // Values of the former Ellpack / Pjds simulations on this matrix: the
-  // SELL simulation reproduces them exactly. They were taken with the
-  // columns relabelled (the former registry default), so the plans are
-  // built that way; ELLPACK and ELLPACK-R do not sort and ignore it.
+  // SELL simulation reproduces them exactly. They were taken in the
+  // symmetric basis, so pjds is built from the matrix permuted up front
+  // (P·A·Pᵀ); ELLPACK and ELLPACK-R do not sort and read `a` itself.
   struct Want {
     const char* format;
     bool fermi;
@@ -388,14 +380,15 @@ TEST(SpmvPresetsSim, EllpackEllpackRAndPjdsKeepTheirNumbers) {
       {"pjds", true, 61436, 154},       {"pjds", false, 146332, 154},
   };
   const auto a = random_csr<double>(333, 333, 0, 27, 2024);
-  formats::PlanOptions relabel;
-  relabel.permute_columns = PermuteColumns::yes;
+  const auto sorted = testing::sorted_symmetric(a, a.n_rows);
   for (const Want& w : want) {
     SCOPED_TRACE(std::string(w.format) + (w.fermi ? " C2070" : " C1060"));
     const auto dev = w.fermi ? gpusim::DeviceSpec::tesla_c2070()
                              : gpusim::DeviceSpec::tesla_c1060();
-    const auto r =
-        formats::registry<double>().build(w.format, a, relabel)->simulate(dev);
+    const bool sorts = std::string(w.format) == "pjds";
+    const auto r = formats::registry<double>()
+                       .build(w.format, sorts ? sorted : a)
+                       ->simulate(dev);
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->stats.dram_bytes(), w.dram_bytes);
     EXPECT_EQ(r->stats.warp_steps, w.warp_steps);

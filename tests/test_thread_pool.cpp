@@ -214,7 +214,7 @@ TEST_F(SpmvDeterminism, SlicedEllBitwiseAcrossThreadCounts) {
 
 TEST_F(SpmvDeterminism, PjdsBitwiseAcrossThreadCounts) {
   const auto a = make_powerlaw<double>(2000, 8.0, 300, 0xCAFE);
-  const auto p = SlicedEll<double>::pjds(a, 32, PermuteColumns::no);
+  const auto p = SlicedEll<double>::from_csr(a, 32, a.n_rows);
   std::vector<double> x(static_cast<std::size_t>(a.n_cols));
   for (std::size_t i = 0; i < x.size(); ++i)
     x[i] = 0.5 + static_cast<double>(i % 11) * 0.0625;

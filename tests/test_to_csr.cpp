@@ -10,6 +10,8 @@
 namespace spmvm {
 namespace {
 
+using spmvm::testing::ellpack_image;
+using spmvm::testing::pjds_image;
 using spmvm::testing::random_csr;
 
 struct Shape {
@@ -30,21 +32,12 @@ class RoundTrip : public ::testing::TestWithParam<Shape> {
 
 TEST_P(RoundTrip, Ellpack) {
   const auto a = matrix();
-  EXPECT_TRUE(structurally_equal(a, to_csr(SlicedEll<double>::ellpack(a, 32))));
+  EXPECT_TRUE(structurally_equal(a, to_csr(ellpack_image(a, 32))));
 }
 
 TEST_P(RoundTrip, JdsRowOnly) {
   const auto a = matrix();
-  const auto j = Jds<double>::from_csr(a, PermuteColumns::no);
-  EXPECT_TRUE(structurally_equal(a, to_csr(j, PermuteColumns::no)));
-}
-
-TEST_P(RoundTrip, JdsSymmetric) {
-  const auto& p = GetParam();
-  if (p.rows != p.cols) GTEST_SKIP() << "symmetric permutation needs square";
-  const auto a = matrix();
-  const auto j = Jds<double>::from_csr(a, PermuteColumns::yes);
-  EXPECT_TRUE(structurally_equal(a, to_csr(j, PermuteColumns::yes)));
+  EXPECT_TRUE(structurally_equal(a, to_csr(Jds<double>::from_csr(a))));
 }
 
 TEST_P(RoundTrip, SlicedEllUnsorted) {
@@ -55,23 +48,13 @@ TEST_P(RoundTrip, SlicedEllUnsorted) {
 
 TEST_P(RoundTrip, SlicedEllSorted) {
   const auto a = matrix();
-  const auto s = SlicedEll<double>::from_csr(a, 16, a.n_rows,
-                                             PermuteColumns::no);
+  const auto s = SlicedEll<double>::from_csr(a, 16, a.n_rows);
   EXPECT_TRUE(structurally_equal(a, to_csr(s)));
 }
 
 TEST_P(RoundTrip, PjdsRowOnly) {
   const auto a = matrix();
-  EXPECT_TRUE(structurally_equal(
-      a, to_csr(SlicedEll<double>::pjds(a, 32, PermuteColumns::no))));
-}
-
-TEST_P(RoundTrip, PjdsSymmetric) {
-  const auto& p = GetParam();
-  if (p.rows != p.cols) GTEST_SKIP() << "symmetric permutation needs square";
-  const auto a = matrix();
-  EXPECT_TRUE(structurally_equal(
-      a, to_csr(SlicedEll<double>::pjds(a, 32, PermuteColumns::yes))));
+  EXPECT_TRUE(structurally_equal(a, to_csr(pjds_image(a, 32))));
 }
 
 TEST_P(RoundTrip, Bellpack) {
@@ -98,9 +81,8 @@ TEST(RoundTripPaper, AllFiveMatrices) {
   for (const char* name : {"DLR1", "DLR2", "HMEp", "sAMG", "UHBR"}) {
     const auto a = make_named(name, 512).matrix;
     SCOPED_TRACE(name);
-    EXPECT_TRUE(structurally_equal(a, to_csr(SlicedEll<double>::pjds(a))));
-    EXPECT_TRUE(
-        structurally_equal(a, to_csr(SlicedEll<double>::ellpack(a, 32))));
+    EXPECT_TRUE(structurally_equal(a, to_csr(pjds_image(a))));
+    EXPECT_TRUE(structurally_equal(a, to_csr(ellpack_image(a, 32))));
   }
 }
 
